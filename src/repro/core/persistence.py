@@ -178,6 +178,7 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
         ae_dict = dict(config_dict.pop("autoencoder"))
         ae_dict["encoder_units"] = tuple(ae_dict["encoder_units"])
         ae_dict.pop("extra", None)
+        ae_dict.pop("arena", None)  # retired switch, still in older config.json files
         config = ModelConfig(autoencoder=AutoencoderConfig(**ae_dict), **config_dict)
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed model config {config_path}: {exc}") from exc

@@ -50,9 +50,8 @@ def check_layer_input_gradient(
 
     The scalar objective is ``loss(target=0, layer(x))``; returns the max
     relative error between analytic and numerical input gradients.  With
-    ``ws``, the analytic gradient runs through the arena kernel path
-    (the numerical estimate always uses the allocating reference path),
-    so the same check validates both implementations.
+    ``ws``, the analytic pass runs in that (reset) workspace; otherwise
+    every call gets a fresh private one.
     """
     loss = loss or MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
@@ -61,12 +60,10 @@ def check_layer_input_gradient(
         out = layer.forward(inp, training=training)
         return loss.value(np.zeros_like(out), out)
 
-    if ws is not None:
-        ws.reset()
+    ws = ws or Workspace()
+    ws.reset()
     out = layer.forward(x, training=training, ws=ws)
     grad = loss.gradient(np.zeros_like(out), out)
-    if ws is not None:
-        grad = grad.copy()  # backward may mutate its input on the kernel path
     analytic = np.array(layer.backward(grad, ws=ws), copy=True)
     numeric = numerical_gradient(objective, x.copy(), eps=eps)
     return relative_error(analytic, numeric)
@@ -82,8 +79,7 @@ def check_layer_param_gradients(
 ) -> dict:
     """Check dL/dparam for every trainable parameter of the layer.
 
-    With ``ws``, analytic gradients run on the arena kernel path (see
-    :func:`check_layer_input_gradient`).
+    ``ws`` is used as in :func:`check_layer_input_gradient`.
 
     Returns:
         Mapping of parameter name to max relative error.
@@ -91,12 +87,10 @@ def check_layer_param_gradients(
     loss = loss or MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
 
-    if ws is not None:
-        ws.reset()
+    ws = ws or Workspace()
+    ws.reset()
     out = layer.forward(x, training=training, ws=ws)
     grad = loss.gradient(np.zeros_like(out), out)
-    if ws is not None:
-        grad = grad.copy()
     layer.backward(grad, ws=ws)
     analytic = {p.name: p.grad.copy() for p in layer.parameters()}
 

@@ -6,13 +6,12 @@ ablations and tests.  Each optimizer keeps per-parameter state keyed by
 fixed set of parameters for the whole training run (which is what
 :class:`repro.nn.network.Sequential` does).
 
-:meth:`Optimizer.step` accepts an optional
-:class:`repro.nn.workspace.Workspace`.  With one, each update runs the
-same arithmetic through in-place ``out=`` kernels over recycled scratch
-buffers -- state arrays are allocated once per parameter and mutated in
-place, and no per-parameter temporaries are created after the first
-step.  Updates are bit-identical to the allocating path (same ops, same
-order, same dtypes); only the allocation behaviour differs.
+Every update runs through in-place ``out=`` kernels over scratch
+buffers from a :class:`repro.nn.workspace.Workspace` (a fresh private
+one when :meth:`Optimizer.step` gets none): state arrays are allocated
+once per parameter and mutated in place, and a recycled workspace makes
+every step after the first allocation-free.  Updates are bit-identical
+to the plain numpy expressions in ``tests/nn/reference.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ def _state_array(state: dict, key: str, param: Parameter) -> np.ndarray:
 
 
 class Optimizer:
-    """Base class; subclasses implement ``_update_one`` (and optionally
-    ``_update_one_ws`` for the allocation-free kernel path)."""
+    """Base class; subclasses implement ``_update_one``."""
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
@@ -52,33 +50,15 @@ class Optimizer:
     def step(self, parameters: Iterable[Parameter], ws: Optional[Workspace] = None) -> None:
         """Apply one update to every parameter using its current ``grad``."""
         self.iterations += 1
-        if ws is None:
-            for param in parameters:
-                state = self._state.get(id(param))
-                if state is None:
-                    state = self._state[id(param)] = {}
-                self._update_one(param, state)
-        else:
-            for param in parameters:
-                state = self._state.get(id(param))
-                if state is None:
-                    state = self._state[id(param)] = {}
-                if param.grad.dtype == param.value.dtype:
-                    self._update_one_ws(param, state, ws)
-                else:
-                    # Promoted gradient (float32 param, float64 grad):
-                    # the legacy expressions pick per-op dtypes that out=
-                    # scratch buffers of one dtype cannot reproduce.
-                    self._update_one(param, state)
+        ws = ws or Workspace()
+        for param in parameters:
+            state = self._state.get(id(param))
+            if state is None:
+                state = self._state[id(param)] = {}
+            self._update_one(param, state, ws)
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         raise NotImplementedError
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        """Workspace-kernel update; defaults to the allocating update so
-        third-party subclasses keep working on the arena path."""
-        del ws
-        self._update_one(param, state)
 
 
 class SGD(Optimizer):
@@ -87,11 +67,7 @@ class SGD(Optimizer):
     def __init__(self, learning_rate: float = 0.01):
         super().__init__(learning_rate)
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        del state
-        param.value -= self.learning_rate * param.grad
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         del state
         t = ws.acquire(param.grad.shape, param.grad.dtype)
         np.multiply(param.grad, self.learning_rate, out=t)
@@ -107,13 +83,7 @@ class Momentum(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        velocity = _state_array(state, "velocity", param)
-        velocity *= self.momentum
-        velocity -= self.learning_rate * param.grad
-        param.value += velocity
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         velocity = _state_array(state, "velocity", param)
         t = ws.acquire(param.grad.shape, param.grad.dtype)
         velocity *= self.momentum
@@ -130,13 +100,7 @@ class RMSProp(Optimizer):
         self.rho = rho
         self.epsilon = epsilon
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        acc = _state_array(state, "acc", param)
-        acc *= self.rho
-        acc += (1.0 - self.rho) * param.grad**2
-        param.value -= self.learning_rate * param.grad / (np.sqrt(acc) + self.epsilon)
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         acc = _state_array(state, "acc", param)
         g = param.grad
         t1 = ws.acquire(g.shape, g.dtype)
@@ -169,19 +133,7 @@ class Adadelta(Optimizer):
         self.rho = rho
         self.epsilon = epsilon
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        acc_grad = _state_array(state, "acc_grad", param)
-        acc_delta = _state_array(state, "acc_delta", param)
-        acc_grad *= self.rho
-        acc_grad += (1.0 - self.rho) * param.grad**2
-        update = (
-            np.sqrt(acc_delta + self.epsilon) / np.sqrt(acc_grad + self.epsilon) * param.grad
-        )
-        acc_delta *= self.rho
-        acc_delta += (1.0 - self.rho) * update**2
-        param.value -= self.learning_rate * update
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         acc_grad = _state_array(state, "acc_grad", param)
         acc_delta = _state_array(state, "acc_delta", param)
         g = param.grad
@@ -221,19 +173,7 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        m = _state_array(state, "m", param)
-        v = _state_array(state, "v", param)
-        t = state["t"] = state.get("t", 0) + 1
-        m *= self.beta1
-        m += (1.0 - self.beta1) * param.grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * param.grad**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         m = _state_array(state, "m", param)
         v = _state_array(state, "v", param)
         t = state["t"] = state.get("t", 0) + 1

@@ -272,6 +272,25 @@ class TestValidation:
         sharded = replace(fitted.config, n_shards=4)
         assert config_digest(sharded) == config_digest(fitted.config)
 
+    def test_config_digest_pinned(self):
+        # Literal digests of checkpoints already on disk: a change here
+        # orphans every checkpoint written with these configurations.
+        from repro.core.detector import make_acobe
+        from repro.eval.experiments import CERT_SMALL
+
+        assert config_digest(ModelConfig()) == (
+            "b8ac57b17205e65b2fe2ceeb7057a8f38c8ed8641d6ed3fca1d7373beb8d1b04"
+        )
+        small = make_acobe(
+            ae_config=CERT_SMALL.autoencoder,
+            window=CERT_SMALL.window,
+            matrix_days=CERT_SMALL.matrix_days,
+            train_stride=CERT_SMALL.train_stride,
+        )
+        assert config_digest(small.config) == (
+            "8b6f061139940c63f3f0d31bda0fa0cd2e2af98a123493d3176dfa33f15d86b0"
+        )
+
 
 def write_v1_checkpoint(directory, stream):
     """Hand-write the legacy single-slab (version 1) checkpoint layout."""

@@ -80,6 +80,24 @@ def test_save_unfitted_raises(tmp_path):
         save_model(model, tmp_path / "m")
 
 
+def test_loads_model_saved_with_retired_arena_key(cube, fitted):
+    """Models saved before the nn arena switch was retired carry
+    ``"arena": null`` in config.json; they still load, and score
+    exactly like the same model fitted today."""
+    from pathlib import Path
+
+    saved = Path(__file__).parent / "fixtures" / "model_with_arena_key"
+    assert '"arena": null' in (saved / "config.json").read_text()
+    loaded = load_model(saved)
+    assert loaded.config == fitted.config
+    attach_representation(loaded, cube, None, DAYS[:20])
+    test_days = fitted.valid_anchor_days(DAYS[20:])
+    original = fitted.score(test_days)
+    restored = loaded.score(test_days)
+    for aspect in original:
+        np.testing.assert_array_equal(original[aspect], restored[aspect])
+
+
 def test_load_missing_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nothing")

@@ -88,6 +88,35 @@ class TestTrainingAndScoring:
         code = ae.encode(x)
         assert code.shape == (5, TINY.encoder_units[-1])
 
+    def test_float32_encode_matches_predict_bottleneck(self):
+        """encode() computes in the network's dtype and returns exactly
+        the bottleneck activations of the reconstruct/predict pass."""
+        from dataclasses import replace
+
+        ae = Autoencoder(8, replace(TINY, epochs=3, dtype="float32"))
+        x = RNG.uniform(size=(12, 8))
+        ae.fit(x)
+        layers = ae.network.layers
+        dense_at = [i for i, layer in enumerate(layers) if isinstance(layer, Dense)]
+        bottleneck = layers[dense_at[len(TINY.encoder_units)] - 1]
+        captured = []
+        original = bottleneck.forward
+
+        def capture(h, training=False, ws=None):
+            out = original(h, training=training, ws=ws)
+            captured.append(out.copy())
+            return out
+
+        bottleneck.forward = capture
+        recon = ae.reconstruct(x)
+        bottleneck.forward = original
+
+        code = ae.encode(x)
+        assert recon.dtype == np.float32
+        assert code.dtype == np.float32
+        assert len(captured) == 1
+        np.testing.assert_array_equal(code, captured[0])
+
     def test_reconstruct_in_unit_interval(self):
         ae = Autoencoder(8, TINY)
         x = RNG.uniform(size=(12, 8))

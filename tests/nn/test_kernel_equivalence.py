@@ -1,13 +1,13 @@
-"""Bit-identity of the arena kernel path vs the legacy allocating path.
+"""Bit-identity of the repro.nn kernels vs the plain-numpy oracle.
 
-The tentpole guarantee of the workspace arena (repro.nn.workspace) is
-that it changes *allocation only*: in float64, training and scoring on
-the kernel path produce bit-for-bit the same weights, histories and
-predictions as the legacy path.  These tests pin that guarantee --
+The ``out=`` kernels over the workspace arena (repro.nn.workspace)
+change *allocation only*: training and scoring produce bit-for-bit the
+same weights, histories and predictions as the allocating expressions
+in ``tests/nn/reference.py``.  These tests pin that guarantee --
 property-based over random architectures, batch sizes and
 early-stopping cuts -- plus a gradcheck matrix over every layer x
-optimizer combination in both dtypes, and a detection-quality tolerance
-test for the (explicitly non-bit-identical) float32 mode.
+optimizer combination in both dtypes, a float32 dtype invariant, and a
+detection-quality tolerance test for float32 vs float64.
 """
 
 import numpy as np
@@ -33,6 +33,8 @@ from repro.nn.layers import (
 from repro.nn.network import Sequential
 from repro.nn.optimizers import get_optimizer
 from repro.nn.workspace import Workspace
+
+from . import reference
 
 RNG = np.random.default_rng(11)
 
@@ -71,7 +73,7 @@ def _params_identical(a, b):
 
 
 class TestTrainingBitIdentity:
-    """Arena-path float64 training == legacy-path training, bit for bit."""
+    """Float64 kernel training == oracle training, bit for bit."""
 
     @given(
         n_samples=st.integers(min_value=12, max_value=60),
@@ -109,34 +111,31 @@ class TestTrainingBitIdentity:
             validation_split=validation_split,
             early_stopping_patience=patience,
         )
-        legacy = _make_net(units, activation, batch_norm, dropout, seed, "float64", width)
-        h_legacy = legacy.fit(data, use_workspace=False, **kwargs)
+        oracle = _make_net(units, activation, batch_norm, dropout, seed, "float64", width)
+        h_oracle = reference.fit(oracle, data, **kwargs)
         kernel = _make_net(units, activation, batch_norm, dropout, seed, "float64", width)
-        h_kernel = kernel.fit(data, use_workspace=True, **kwargs)
+        h_kernel = kernel.fit(data, **kwargs)
 
-        assert _histories_equal(h_legacy, h_kernel)
-        assert _params_identical(legacy, kernel)
+        assert _histories_equal(h_oracle, h_kernel)
+        assert _params_identical(oracle, kernel)
         probe = np.random.default_rng(seed + 1).random((7, width))
-        assert np.array_equal(
-            legacy.predict(probe, use_workspace=False),
-            kernel.predict(probe, use_workspace=True),
-        )
+        assert np.array_equal(reference.predict(oracle, probe), kernel.predict(probe))
 
     def test_row_source_training_matches_dense(self):
         data = RNG.random((40, 6))
         a = _make_net([5], "relu", True, False, 3, "float64", 6)
-        a.fit(data, epochs=2, batch_size=8, use_workspace=True)
+        a.fit(data, epochs=2, batch_size=8)
         b = _make_net([5], "relu", True, False, 3, "float64", 6)
-        b.fit(ArrayRowSource(data), epochs=2, batch_size=8, use_workspace=True)
+        b.fit(ArrayRowSource(data), epochs=2, batch_size=8)
         assert _params_identical(a, b)
 
     def test_distinct_xy_targets(self):
         x = RNG.random((30, 5))
         y = RNG.random((30, 4))
         a = _make_net([4], "tanh", False, False, 9, "float64", 4)
-        ha = a.fit(x, y, epochs=3, batch_size=7, use_workspace=False)
+        ha = reference.fit(a, x, y, epochs=3, batch_size=7)
         b = _make_net([4], "tanh", False, False, 9, "float64", 4)
-        hb = b.fit(x, y, epochs=3, batch_size=7, use_workspace=True)
+        hb = b.fit(x, y, epochs=3, batch_size=7)
         assert _histories_equal(ha, hb)
         assert _params_identical(a, b)
 
@@ -146,21 +145,21 @@ class TestTrainingBitIdentity:
         net.fit(data, epochs=1, batch_size=16)
         probe = RNG.random((33, 8))
         assert np.array_equal(
-            net.predict(probe, batch_size=10, use_workspace=True),
-            net.predict(probe, batch_size=10, use_workspace=False),
+            net.predict(probe, batch_size=10),
+            reference.predict(net, probe, batch_size=10),
         )
         # Chunk size must not affect the result either.
         assert np.array_equal(
-            net.predict(probe, batch_size=7, use_workspace=True),
-            net.predict(probe, batch_size=1024, use_workspace=True),
+            net.predict(probe, batch_size=7),
+            net.predict(probe, batch_size=1024),
         )
 
     def test_workspace_reuses_buffers_across_steps(self):
         net = _make_net([6, 4], "relu", True, True, 2, "float64", 8)
         data = RNG.random((64, 8))
-        net.fit(data, epochs=1, batch_size=16, use_workspace=True)
+        net.fit(data, epochs=1, batch_size=16)
         after_first = net.workspace.stats()
-        net.fit(data, epochs=2, batch_size=16, use_workspace=True)
+        net.fit(data, epochs=2, batch_size=16)
         after_more = net.workspace.stats()
         # Steady state: further epochs allocate nothing new.
         assert after_more.misses == after_first.misses
@@ -169,21 +168,54 @@ class TestTrainingBitIdentity:
 
 
 class TestFloat32Mode:
-    """float32 is a documented non-bit-identical throughput mode."""
+    """float32 is not bit-comparable with float64, but it is with the
+    oracle run in float32."""
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_kernel_path_tracks_legacy_path(self, optimizer):
+        # ReLU + BatchNorm in float32 is the presets' configuration.
         data = RNG.random((48, 10))
+        kwargs = dict(epochs=3, batch_size=8, optimizer=optimizer, validation_split=0.2)
         a = _make_net([8, 6], "relu", True, False, 4, "float32", 10)
-        ha = a.fit(data, epochs=3, batch_size=8, optimizer=optimizer, use_workspace=False)
+        ha = reference.fit(a, data, **kwargs)
         b = _make_net([8, 6], "relu", True, False, 4, "float32", 10)
-        hb = b.fit(data, epochs=3, batch_size=8, optimizer=optimizer, use_workspace=True)
-        # Same ops, same order: float32 kernels agree with float32 legacy
-        # closely (often exactly); the tolerance guards rounding-mode
-        # differences on exotic BLAS builds.
-        for p, q in zip(a.parameters(), b.parameters()):
-            np.testing.assert_allclose(p.value, q.value, rtol=1e-5, atol=1e-6)
-        assert hb.loss == pytest.approx(ha.loss, rel=1e-4)
+        hb = b.fit(data, **kwargs)
+        assert _histories_equal(ha, hb)
+        assert _params_identical(a, b)
+        assert np.array_equal(reference.predict(a, data), b.predict(data))
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_fit_stays_float32(self, activation, optimizer):
+        """Every activation, gradient and optimizer state of a float32
+        fit is float32 (no silent promotion to float64 anywhere)."""
+        net = _make_net([5, 4], activation, True, True, 3, "float32", 6)
+        seen = []
+
+        def recording(method):
+            def wrapped(*args, **kwargs):
+                out = method(*args, **kwargs)
+                seen.append((type(method.__self__).__name__, method.__name__, out.dtype))
+                return out
+
+            return wrapped
+
+        for layer in net.layers:
+            layer.forward = recording(layer.forward)
+            layer.backward = recording(layer.backward)
+        opt = get_optimizer(optimizer)
+        net.fit(RNG.random((30, 6)), epochs=2, batch_size=8, optimizer=opt,
+                validation_split=0.2)
+
+        assert seen and {dtype for _, _, dtype in seen} == {np.dtype(np.float32)}, [
+            entry for entry in seen if entry[2] != np.float32
+        ]
+        for p in net.parameters():
+            assert p.value.dtype == np.float32 and p.grad.dtype == np.float32, p
+        states = [a for state in opt._state.values() for a in state.values()
+                  if isinstance(a, np.ndarray)]
+        assert bool(states) == (optimizer != "sgd")  # SGD keeps no state arrays
+        assert all(a.dtype == np.float32 for a in states)
 
     def test_float32_close_to_float64(self):
         data = RNG.random((48, 10))
@@ -257,58 +289,63 @@ class TestGradcheckMatrix:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_optimizer_kernels_match_legacy(self, optimizer, dtype):
-        """Each optimizer's in-place kernel reproduces its legacy update."""
+        """Each optimizer's in-place kernel reproduces the oracle update."""
 
-        def run(use_ws):
+        def run(use_oracle):
             opt = get_optimizer(optimizer)
             layer = Dense(3)
             layer.build(4, np.random.default_rng(7), dtype=np.dtype(dtype))
-            ws = Workspace() if use_ws else None
+            ws = Workspace()
+            states = {}
             for step in range(5):
                 g = np.random.default_rng(100 + step).normal(size=(4, 3))
                 layer.weight.grad[...] = g.astype(layer.weight.grad.dtype)
                 layer.bias.grad[...] = g[0].astype(layer.bias.grad.dtype)
-                if ws is not None:
+                params = [layer.weight, layer.bias]
+                if use_oracle:
+                    for p in params:
+                        reference.update(opt, p, states.setdefault(id(p), {}))
+                else:
                     ws.reset()
-                opt.step([layer.weight, layer.bias], ws=ws)
+                    opt.step(params, ws=ws)
             return layer
 
-        legacy = run(False)
-        kernel = run(True)
-        assert np.array_equal(legacy.weight.value, kernel.weight.value)
-        assert np.array_equal(legacy.bias.value, kernel.bias.value)
+        oracle = run(True)
+        kernel = run(False)
+        assert np.array_equal(oracle.weight.value, kernel.weight.value)
+        assert np.array_equal(oracle.bias.value, kernel.bias.value)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_layer_optimizer_cross_bit_identity(self, activation, optimizer):
         """Every activation x optimizer combination trains bit-identically
-        on the kernel path (with BatchNorm and Dropout in the stack)."""
+        to the oracle (with BatchNorm and Dropout in the stack)."""
         data = np.random.default_rng(41).random((24, 5))
         kwargs = dict(epochs=2, batch_size=6, optimizer=optimizer)
         a = _make_net([4], activation, True, True, 8, "float64", 5)
-        ha = a.fit(data, use_workspace=False, **kwargs)
+        ha = reference.fit(a, data, **kwargs)
         b = _make_net([4], activation, True, True, 8, "float64", 5)
-        hb = b.fit(data, use_workspace=True, **kwargs)
+        hb = b.fit(data, **kwargs)
         assert _histories_equal(ha, hb)
         assert _params_identical(a, b)
 
     def test_dropout_gradient_kernel_path(self):
         # Dropout is stochastic: compare kernel backward against the
-        # legacy backward under the same mask (same RNG seed).
+        # oracle backward under the same mask (same RNG seed).
         x = RNG.uniform(0.2, 0.9, size=(6, 4))
         grad = RNG.normal(size=(6, 4))
 
-        legacy = Dropout(0.3, seed=5)
-        out_legacy = legacy.forward(x, training=True)
-        g_legacy = legacy.backward(grad.copy())
+        oracle = Dropout(0.3, seed=5)
+        out_oracle, mask = reference.forward(oracle, x, training=True)
+        g_oracle = reference.backward(oracle, mask, grad.copy())
 
         kernel = Dropout(0.3, seed=5)
         ws = Workspace()
         out_kernel = kernel.forward(x, training=True, ws=ws)
         g_kernel = kernel.backward(grad.copy(), ws=ws)
 
-        assert np.array_equal(out_legacy, out_kernel)
-        assert np.array_equal(g_legacy, g_kernel)
+        assert np.array_equal(out_oracle, out_kernel)
+        assert np.array_equal(g_oracle, g_kernel)
 
 
 class TestParameterDtype:
