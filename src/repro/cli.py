@@ -53,7 +53,6 @@ from repro.core import (
     make_baseline,
     make_no_group,
     make_one_day,
-    resolve_n_shards,
 )
 from repro.eval.experiments import (
     CERT_START,
@@ -139,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are identical at any value",
     )
     p_det.add_argument(
-        "--shards", type=int, default=None,
-        help="user shards for the staged detection pipeline (default: "
-        "$ACOBE_SHARDS or 1); results are bit-identical at any value",
-    )
-    p_det.add_argument(
         "--score-batch", type=int, default=1024,
         help="matrix vectors materialized per scoring batch (memory knob; "
         "scores are identical at any value)",
@@ -185,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_str.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the initial ensemble training",
-    )
-    p_str.add_argument(
-        "--shards", type=int, default=None,
-        help="user shards for the staged detection pipeline (default: "
-        "$ACOBE_SHARDS or 1); results are bit-identical at any value",
     )
     p_str.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -260,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the initial ensemble training",
-    )
-    p_ing.add_argument(
-        "--shards", type=int, default=None,
-        help="user shards for the staged detection pipeline",
     )
     p_ing.add_argument(
         "--shuffle-seed", type=int, default=None, metavar="SEED",
@@ -421,14 +406,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     config = cert_config(args.scale)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    n_shards = resolve_n_shards(args.shards)
     benchmark = build_cert_benchmark(config)
     factory = _MODEL_FACTORIES[args.model]
     kwargs = dict(
         ae_config=config.autoencoder,
         train_stride=config.train_stride,
         n_jobs=args.jobs,
-        n_shards=n_shards,
         dtype=args.dtype,
     )
     if args.model in ("acobe", "no-group", "all-in-one"):
@@ -460,7 +443,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 "scale": config.name,
                 "seed": config.seed,
                 "n_jobs": args.jobs,
-                "n_shards": n_shards,
                 "users": len(benchmark.cube.users),
                 "auc": metrics.auc,
                 "average_precision": metrics.average_precision,
@@ -515,7 +497,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     config = cert_config(args.scale)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    n_shards = resolve_n_shards(args.shards)
     benchmark = build_cert_benchmark(config)
     cube = benchmark.cube
     days = list(cube.days)
@@ -565,7 +546,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             matrix_days=config.matrix_days,
             train_stride=config.train_stride,
             n_jobs=args.jobs,
-            n_shards=n_shards,
             dtype=args.dtype,
         )
         print(f"fitting {model.config.name} on {len(cube.users)} users ...")
@@ -645,7 +625,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 "model": model.config.name,
                 "scale": config.name,
                 "seed": config.seed,
-                "n_shards": model.config.n_shards,
                 "resumed": args.resume,
                 "days_consumed": consumed,
                 "days_scored": len(scored),
@@ -789,7 +768,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     config = cert_config(args.scale)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    n_shards = resolve_n_shards(args.shards)
 
     if args.logs:
         from repro.datagen.calendar import SimulationCalendar
@@ -865,7 +843,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             matrix_days=config.matrix_days,
             train_stride=config.train_stride,
             n_jobs=args.jobs,
-            n_shards=n_shards,
             dtype=args.dtype,
         )
         print(f"fitting {model.config.name} on {len(users)} users ...")

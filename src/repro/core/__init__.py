@@ -21,9 +21,8 @@
   checksummed checkpoint/resume of :class:`StreamingDetector` state
   with bit-identical continuation.
 * :mod:`repro.core.pipeline` -- the staged detection pipeline
-  (representation -> scoring -> critic) with deterministic user
-  sharding (:class:`ShardPlan`); results are bit-identical at any
-  shard count.
+  (representation -> scoring -> critic), one execution path over all
+  users.
 """
 
 from repro.core.checkpoint import (
@@ -70,19 +69,7 @@ from repro.core.deviation import (
     group_means,
 )
 from repro.core.matrix import CompoundMatrices, build_compound_matrices
-from repro.core.pipeline import (
-    CriticStage,
-    DetectionPipeline,
-    InvalidShardCountError,
-    RepresentationStage,
-    ScoringStage,
-    Shard,
-    ShardPlan,
-    ShardPlanError,
-    TooManyShardsError,
-    resolve_n_shards,
-    sharded_deviate_against_history,
-)
+from repro.core.pipeline import CriticStage, DetectionPipeline, RepresentationStage
 from repro.core.representation import (
     MatrixView,
     RepresentationPipeline,
@@ -117,17 +104,11 @@ __all__ = [
     "DetectionPipeline",
     "DeviationConfig",
     "DeviationCube",
-    "InvalidShardCountError",
     "InvestigationList",
     "MatrixView",
     "ModelConfig",
     "RepresentationPipeline",
     "RepresentationStage",
-    "ScoringStage",
-    "Shard",
-    "ShardPlan",
-    "ShardPlanError",
-    "TooManyShardsError",
     "aspect_rows",
     "build_compound_matrices",
     "compound_values",
@@ -144,6 +125,4 @@ __all__ = [
     "make_one_day",
     "rank_users",
     "rank_votes",
-    "resolve_n_shards",
-    "sharded_deviate_against_history",
 ]

@@ -8,23 +8,21 @@ resume, and days k+1..n produce scores bit-identical to an
 uninterrupted run** (pinned by ``tests/core/test_checkpoint_property.py``
 and the golden-file integration test).
 
-Layout of a checkpoint directory (version 2, shard-aware)::
+Layout of a checkpoint directory (version 2)::
 
     <directory>/
-      state_shard_000.npz  # per-user rolling arrays for shard 0's users
-      state_shard_001.npz  # ... one slab per shard of the stream's
-      ...                  #     ShardPlan (n_shards=1 -> a single slab)
-      state_groups.npz     # per-group rolling arrays (groups are global)
+      state_shard_000.npz  # per-user rolling arrays (history, deviations)
+      state_groups.npz     # per-group rolling arrays
       manifest.json        # schema + version, day cursor, users/groups,
-                           # shard table, config digest, degradation
+                           # slab table, config digest, degradation
                            # counters, per-file checksums
 
-The shard slabs partition the user axis exactly along the stream's
-:class:`~repro.core.pipeline.ShardPlan`, so a large population's
-checkpoint writes in user-range pieces; loading concatenates the
-slabs back in shard order, which restores the original arrays
-bit-for-bit.  Version-1 checkpoints (a single ``state.npz``) are still
-loaded transparently as the one-shard special case.
+:func:`save_checkpoint` always writes this layout with one user slab.
+:func:`load_checkpoint` also reads what older builds wrote: version-2
+directories whose manifest lists several user slabs (each a contiguous
+user range; they are concatenated back in index order, which restores
+the arrays bit-for-bit) and version-1 directories holding a single
+``state.npz``.
 
 Durability design, in order of defence:
 
@@ -32,12 +30,13 @@ Durability design, in order of defence:
   :func:`repro.core.persistence.atomic_write_bytes` (write temp, fsync,
   ``os.replace``), so a crash mid-save leaves the previous checkpoint
   intact.
-* **Manifest-last commit** -- ``state.npz`` is written before
+* **Manifest-last commit** -- the state files are written before
   ``manifest.json``; a directory is a checkpoint only once its manifest
   exists, so a partially written directory is detected, not half-read.
-* **Content checksums** -- the manifest records the SHA-256 of
-  ``state.npz``; bit rot and truncation surface as
-  :class:`CheckpointCorruptionError`, never as a NumPy stack trace.
+* **Content checksums** -- the manifest records the SHA-256 of every
+  state file; bit rot and truncation surface as
+  :class:`CheckpointCorruptionError`, never as a NumPy stack trace.  So
+  does a manifest that parses as JSON but has a malformed field.
 * **Config digest** -- the manifest pins a digest of the model's
   :class:`~repro.core.detector.ModelConfig`; resuming against a model
   with different windows/weights raises :class:`CheckpointMismatchError`
@@ -57,7 +56,7 @@ import zipfile
 from dataclasses import asdict
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, TypeVar, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -76,11 +75,11 @@ __all__ = [
     "GROUP_STATE_FILE",
     "LoadedCheckpoint",
     "STATE_FILE",
+    "USER_STATE_FILE",
     "config_digest",
     "load_checkpoint",
     "resume_streaming",
     "save_checkpoint",
-    "shard_state_file",
 ]
 
 CHECKPOINT_SCHEMA = "acobe.stream_checkpoint"
@@ -89,13 +88,10 @@ CHECKPOINT_VERSION = 2
 MANIFEST_FILE = "manifest.json"
 #: Legacy version-1 single-slab state file (still readable).
 STATE_FILE = "state.npz"
-#: Version-2 per-group rolling arrays (groups are global, never sharded).
+#: Version-2 per-user rolling arrays (the one slab this build writes).
+USER_STATE_FILE = "state_shard_000.npz"
+#: Version-2 per-group rolling arrays.
 GROUP_STATE_FILE = "state_groups.npz"
-
-
-def shard_state_file(index: int) -> str:
-    """The version-2 state file holding shard ``index``'s user arrays."""
-    return f"state_shard_{index:03d}.npz"
 
 #: Patchable sleep for the retry loop (tests stub it out).
 _SLEEP: Callable[[float], None] = time.sleep
@@ -133,19 +129,12 @@ def config_digest(config: ModelConfig) -> str:
     training is deterministic in the config, see
     :mod:`repro.nn.parallel`).
 
-    The execution-layout knob ``n_shards`` is excluded because it
-    provably does not change results (the staged pipeline is
-    bit-identical at any shard count, see :mod:`repro.core.pipeline`),
-    so a checkpoint written at one shard count resumes at any other --
-    and older checkpoints (written before the field existed) keep
-    matching.
     ``n_jobs`` stays in the digest for compatibility with already
     written checkpoints (changing it would orphan them).  The
     autoencoder ``dtype`` stays in too: float32 and float64 runs are
     *not* numerically interchangeable.
     """
     doc = asdict(config)
-    doc.pop("n_shards", None)
     canonical = json.dumps(doc, sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -186,23 +175,19 @@ def _npz_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     return buffer.getvalue()
 
 
-def _shard_state_bytes(state: StreamState, start: int, stop: int) -> bytes:
-    """Serialize the per-user rolling arrays for users ``[start, stop)``.
-
-    Every per-user array has the user axis first, so a basic slice
-    selects the shard's rows without copying the rest.
-    """
+def _user_state_bytes(state: StreamState) -> bytes:
+    """Serialize the per-user rolling arrays."""
     arrays: Dict[str, np.ndarray] = {}
     for i, slab in enumerate(state.history):
-        arrays[f"history_{i}"] = slab[start:stop]
+        arrays[f"history_{i}"] = slab
     for i, (sigma, weight) in enumerate(state.sigma_buffer):
-        arrays[f"sigma_{i}"] = sigma[start:stop]
-        arrays[f"sigweight_{i}"] = weight[start:stop]
+        arrays[f"sigma_{i}"] = sigma
+        arrays[f"sigweight_{i}"] = weight
     return _npz_bytes(arrays)
 
 
 def _group_state_bytes(state: StreamState) -> bytes:
-    """Serialize the per-group rolling arrays (global, never sharded)."""
+    """Serialize the per-group rolling arrays."""
     arrays: Dict[str, np.ndarray] = {}
     for i, (sigma, weight) in enumerate(state.group_sigma_buffer):
         arrays[f"gsigma_{i}"] = sigma
@@ -210,103 +195,26 @@ def _group_state_bytes(state: StreamState) -> bytes:
     return _npz_bytes(arrays)
 
 
-def _state_from_npz(path: Path, counts: Mapping[str, int]) -> StreamState:
+def _read_state_file(path: Path, keys: Sequence[str]) -> Dict[str, np.ndarray]:
+    """The named float64 arrays of one state archive, with typed errors."""
     try:
         with np.load(path) as archive:
-            history = [
-                np.asarray(archive[f"history_{i}"], dtype=np.float64)
-                for i in range(int(counts["history"]))
-            ]
-            sigma = [
-                (
-                    np.asarray(archive[f"sigma_{i}"], dtype=np.float64),
-                    np.asarray(archive[f"sigweight_{i}"], dtype=np.float64),
-                )
-                for i in range(int(counts["sigma"]))
-            ]
-            group_sigma = [
-                (
-                    np.asarray(archive[f"gsigma_{i}"], dtype=np.float64),
-                    np.asarray(archive[f"gweight_{i}"], dtype=np.float64),
-                )
-                for i in range(int(counts["group_sigma"]))
-            ]
+            return {key: np.asarray(archive[key], dtype=np.float64) for key in keys}
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
         raise CheckpointCorruptionError(
             f"unreadable checkpoint state {path}: {exc}"
         ) from exc
-    return StreamState(history=history, sigma_buffer=sigma, group_sigma_buffer=group_sigma,
-                       last_day=None)
 
 
-def _state_from_shards(directory: Path, manifest: Mapping[str, Any]) -> StreamState:
-    """Rebuild a full :class:`StreamState` from version-2 shard slabs.
-
-    Shard slabs are concatenated along the user axis in shard-index
-    order; because :func:`save_checkpoint` sliced them off the same
-    arrays along a contiguous partition, the concatenation restores the
-    originals bit-for-bit.
-    """
-    counts = manifest.get("counts", {})
-    n_history = int(counts.get("history", 0))
-    n_sigma = int(counts.get("sigma", 0))
-    n_group = int(counts.get("group_sigma", 0))
-    shards = sorted(manifest.get("shards", []), key=lambda entry: int(entry["index"]))
-    if not shards:
-        raise CheckpointCorruptionError(
-            f"version-2 checkpoint at {directory} lists no shards in its manifest"
-        )
-
-    per_shard: list = []
-    for entry in shards:
-        path = directory / str(entry["file"])
-        try:
-            with np.load(path) as archive:
-                history = [
-                    np.asarray(archive[f"history_{i}"], dtype=np.float64)
-                    for i in range(n_history)
-                ]
-                sigma = [
-                    (
-                        np.asarray(archive[f"sigma_{i}"], dtype=np.float64),
-                        np.asarray(archive[f"sigweight_{i}"], dtype=np.float64),
-                    )
-                    for i in range(n_sigma)
-                ]
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
-            raise CheckpointCorruptionError(
-                f"unreadable checkpoint shard {path}: {exc}"
-            ) from exc
-        per_shard.append((history, sigma))
-
-    group_path = directory / str(manifest.get("group_file", GROUP_STATE_FILE))
+def _manifest_field(manifest_path: Path, name: str, parse: Callable[[], _T]) -> _T:
+    """Parse one manifest field; a malformed value is checkpoint corruption."""
     try:
-        with np.load(group_path) as archive:
-            group_sigma = [
-                (
-                    np.asarray(archive[f"gsigma_{i}"], dtype=np.float64),
-                    np.asarray(archive[f"gweight_{i}"], dtype=np.float64),
-                )
-                for i in range(n_group)
-            ]
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
+        return parse()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorruptionError(
-            f"unreadable checkpoint group state {group_path}: {exc}"
+            f"malformed checkpoint manifest {manifest_path}: field {name!r} "
+            f"is invalid ({type(exc).__name__}: {exc})"
         ) from exc
-
-    def cat(pieces):
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-
-    history = [cat([shard[0][i] for shard in per_shard]) for i in range(n_history)]
-    sigma = [
-        (
-            cat([shard[1][i][0] for shard in per_shard]),
-            cat([shard[1][i][1] for shard in per_shard]),
-        )
-        for i in range(n_sigma)
-    ]
-    return StreamState(history=history, sigma_buffer=sigma, group_sigma_buffer=group_sigma,
-                       last_day=None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,41 +276,15 @@ def save_checkpoint(
     telemetry = get_telemetry()
     with telemetry.span("checkpoint.save", directory=str(directory)) as span:
         state = stream.export_state()
-        plan = stream.shard_plan
+        payloads = {
+            USER_STATE_FILE: _user_state_bytes(state),
+            GROUP_STATE_FILE: _group_state_bytes(state),
+        }
+        payloads.update((name, extra_files[name]) for name in sorted(extra_files))
 
         checksums: Dict[str, str] = {}
-        shard_table = []
         total_bytes = 0
-        for shard in plan:
-            filename = shard_state_file(shard.index)
-            payload = _shard_state_bytes(state, shard.start, shard.stop)
-            path = directory / filename
-            _with_retries(
-                lambda path=path, payload=payload: atomic_write_bytes(path, payload),
-                f"writing {path}",
-                retries,
-                backoff,
-            )
-            checksums[filename] = hashlib.sha256(payload).hexdigest()
-            shard_table.append(
-                {"index": shard.index, "start": shard.start, "stop": shard.stop,
-                 "file": filename}
-            )
-            total_bytes += len(payload)
-
-        group_payload = _group_state_bytes(state)
-        group_path = directory / GROUP_STATE_FILE
-        _with_retries(
-            lambda: atomic_write_bytes(group_path, group_payload),
-            f"writing {group_path}",
-            retries,
-            backoff,
-        )
-        checksums[GROUP_STATE_FILE] = hashlib.sha256(group_payload).hexdigest()
-        total_bytes += len(group_payload)
-
-        for filename in sorted(extra_files):
-            payload = extra_files[filename]
+        for filename, payload in payloads.items():
             path = directory / filename
             _with_retries(
                 lambda path=path, payload=payload: atomic_write_bytes(path, payload),
@@ -422,7 +304,9 @@ def save_checkpoint(
             "groups": list(stream.groups),
             "group_map": dict(stream.group_map),
             "on_bad_day": stream.on_bad_day,
-            "shards": shard_table,
+            "shards": [
+                {"index": 0, "start": 0, "stop": len(stream.users), "file": USER_STATE_FILE}
+            ],
             "group_file": GROUP_STATE_FILE,
             "counts": {
                 "history": len(state.history),
@@ -446,10 +330,10 @@ def save_checkpoint(
             backoff,
         )
         # Post-commit cleanup: drop state files the new manifest does not
-        # reference (a legacy v1 state.npz, shard slabs beyond a now
-        # smaller plan, or extra sidecars from a previous caller).  The
-        # load path ignores them, but leaving them would let the fault
-        # drills corrupt a file nobody reads.
+        # reference (a legacy v1 state.npz, the extra user slabs of an
+        # older multi-slab layout, or extra sidecars from a previous
+        # caller).  The load path ignores them, but leaving them would
+        # let the fault drills corrupt a file nobody reads.
         expected = set(checksums)
         for stale in directory.glob("state*"):
             if stale.name not in expected:
@@ -457,7 +341,6 @@ def save_checkpoint(
         telemetry.counter("checkpoint.saves").inc()
         span.annotate(
             bytes=total_bytes,
-            shards=len(plan),
             history_days=len(state.history),
             last_day=manifest["last_day"],
         )
@@ -495,16 +378,17 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Load and validate a checkpoint written by :func:`save_checkpoint`.
 
-    Both layouts are supported: version 2 (per-shard user slabs plus a
-    group slab) and the legacy version-1 single ``state.npz``, which
-    loads as the one-shard special case.
+    Reads every layout this module has written: version 2 with one or
+    more user slabs plus a group slab, and the legacy version-1 single
+    ``state.npz``.
 
     Raises:
         CheckpointNotFoundError: no committed manifest at ``directory``
             (including the partially-written case where only state
             files made it to disk).
-        CheckpointCorruptionError: manifest unreadable, state file
-            missing, checksum mismatch, or archive truncated/corrupt.
+        CheckpointCorruptionError: manifest unreadable or with a
+            malformed field, state file missing, checksum mismatch, or
+            archive truncated/corrupt.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_FILE
@@ -527,29 +411,62 @@ def load_checkpoint(
         raise CheckpointCorruptionError(
             f"corrupt checkpoint manifest {manifest_path}: {exc}"
         ) from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointCorruptionError(
+            f"corrupt checkpoint manifest {manifest_path}: not a JSON object"
+        )
     if manifest.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointCorruptionError(
             f"{manifest_path} is not a stream checkpoint "
             f"(schema={manifest.get('schema')!r})"
         )
-    if int(manifest.get("version", 0)) > CHECKPOINT_VERSION:
+
+    def field(name: str, parse: Callable[[], _T]) -> _T:
+        return _manifest_field(manifest_path, name, parse)
+
+    version = field("version", lambda: int(manifest.get("version", 0)))
+    if version > CHECKPOINT_VERSION:
         raise CheckpointMismatchError(
-            f"checkpoint version {manifest.get('version')} is newer than "
+            f"checkpoint version {version} is newer than "
             f"this build supports ({CHECKPOINT_VERSION}); upgrade before resuming"
         )
-
-    version = int(manifest.get("version", 0))
+    counts_doc = field("counts", lambda: dict(manifest.get("counts", {})))
+    counts = {
+        name: field(f"counts.{name}", lambda name=name: int(counts_doc.get(name, 0)))
+        for name in ("history", "sigma", "group_sigma")
+    }
+    counters_doc = field("counters", lambda: dict(manifest.get("counters", {})))
+    counters = {
+        name: field(f"counters.{name}", lambda name=name: int(counters_doc.get(name, 0)))
+        for name in ("days_observed", "days_quarantined", "days_imputed", "values_imputed")
+    }
+    last_day = field(
+        "last_day",
+        lambda: date.fromisoformat(manifest["last_day"]) if manifest.get("last_day") else None,
+    )
+    checksums = field("checksums", lambda: dict(manifest.get("checksums", {})))
     if version <= 1:
-        expected_files = [STATE_FILE]
+        state_files = [STATE_FILE]
     else:
-        expected_files = [str(s["file"]) for s in manifest.get("shards", [])]
-        expected_files.append(str(manifest.get("group_file", GROUP_STATE_FILE)))
+        user_files = field(
+            "shards",
+            lambda: [
+                str(entry["file"])
+                for entry in sorted(manifest.get("shards", []), key=lambda e: int(e["index"]))
+            ],
+        )
+        if not user_files:
+            raise CheckpointCorruptionError(
+                f"version-2 checkpoint at {directory} lists no user slabs in its manifest"
+            )
+        group_file = field("group_file", lambda: str(manifest.get("group_file", GROUP_STATE_FILE)))
+        state_files = user_files + [group_file]
+
     # Verify every checksummed file, core and sidecar alike: the manifest
     # is the commit record, so anything it checksums must be present and
     # intact for the checkpoint to count as valid.
-    checksums = manifest.get("checksums", {})
-    extra_files = [name for name in sorted(checksums) if name not in expected_files]
-    for filename in expected_files + extra_files:
+    extra_files = [name for name in sorted(checksums) if name not in state_files]
+    for filename in state_files + extra_files:
         file_path = directory / filename
         if not file_path.exists():
             raise CheckpointCorruptionError(
@@ -570,17 +487,35 @@ def load_checkpoint(
                 "(truncated write or bit rot)"
             )
 
+    user_keys = [f"history_{i}" for i in range(counts["history"])] + [
+        key for i in range(counts["sigma"]) for key in (f"sigma_{i}", f"sigweight_{i}")
+    ]
+    group_keys = [
+        key for i in range(counts["group_sigma"]) for key in (f"gsigma_{i}", f"gweight_{i}")
+    ]
     if version <= 1:
-        state = _state_from_npz(directory / STATE_FILE, manifest.get("counts", {}))
+        arrays = _read_state_file(directory / STATE_FILE, user_keys + group_keys)
     else:
-        state = _state_from_shards(directory, manifest)
-    last_day = manifest.get("last_day")
-    state.last_day = date.fromisoformat(last_day) if last_day else None
-    counters = manifest.get("counters", {})
-    state.days_observed = int(counters.get("days_observed", 0))
-    state.days_quarantined = int(counters.get("days_quarantined", 0))
-    state.days_imputed = int(counters.get("days_imputed", 0))
-    state.values_imputed = int(counters.get("values_imputed", 0))
+        # User slabs partition the user axis in index order, so joining
+        # them restores the saved arrays bit-for-bit.
+        slabs = [_read_state_file(directory / name, user_keys) for name in user_files]
+        arrays = {
+            key: np.concatenate([slab[key] for slab in slabs], axis=0) for key in user_keys
+        }
+        arrays.update(_read_state_file(directory / group_file, group_keys))
+
+    state = StreamState(
+        history=[arrays[f"history_{i}"] for i in range(counts["history"])],
+        sigma_buffer=[
+            (arrays[f"sigma_{i}"], arrays[f"sigweight_{i}"]) for i in range(counts["sigma"])
+        ],
+        group_sigma_buffer=[
+            (arrays[f"gsigma_{i}"], arrays[f"gweight_{i}"])
+            for i in range(counts["group_sigma"])
+        ],
+        last_day=last_day,
+        **counters,
+    )
     get_telemetry().counter("checkpoint.loads").inc()
     return LoadedCheckpoint(manifest, state)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.critic import InvestigationList
 from repro.core.deviation import DeviationConfig, DeviationCube
-from repro.core.pipeline import DetectionPipeline, InvalidShardCountError, ShardPlan
+from repro.core.pipeline import DetectionPipeline
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -48,17 +48,11 @@ class ModelConfig:
     """Configuration of a compound-behaviour model.
 
     ``n_jobs`` controls how many worker processes train the per-aspect
-    ensemble (1 = in-process serial, < 1 = all cores).  Training results
+    ensemble (1 = in-process serial, < 1 = all usable cores).  Training results
     are bit-identical for every value -- each aspect's autoencoder seed
     is derived from ``autoencoder.seed`` with
     :func:`repro.nn.parallel.derive_seed`, so the trained weights depend
     only on the configuration, never on scheduling.
-
-    ``n_shards`` partitions the user axis for the staged detection
-    pipeline (:mod:`repro.core.pipeline`): representation and scoring
-    run one user shard at a time (fanning out over ``n_jobs`` workers
-    when both exceed 1).  Scores and rankings are bit-identical for
-    every shard count; checkpoints are stored as per-shard slabs.
     """
 
     name: str = "ACOBE"
@@ -73,7 +67,6 @@ class ModelConfig:
     critic_n: int = 3
     train_stride: int = 1
     n_jobs: int = 1
-    n_shards: int = 1
     autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
 
     def __post_init__(self) -> None:
@@ -85,8 +78,6 @@ class ModelConfig:
             raise ValueError(f"train_stride must be >= 1, got {self.train_stride}")
         if self.critic_n < 1:
             raise ValueError(f"critic_n must be >= 1, got {self.critic_n}")
-        if self.n_shards < 1:
-            raise InvalidShardCountError(f"n_shards must be >= 1, got {self.n_shards}")
 
 
 class CompoundBehaviorModel:
@@ -149,9 +140,7 @@ class CompoundBehaviorModel:
         """
         cfg = self.config
         telemetry = get_telemetry()
-        with telemetry.span(
-            "detector.fit", model=cfg.name, n_jobs=cfg.n_jobs, n_shards=cfg.n_shards
-        ) as span:
+        with telemetry.span("detector.fit", model=cfg.name, n_jobs=cfg.n_jobs) as span:
             with telemetry.span("detector.representation"):
                 self._prepare_representation(cube, group_map, train_days)
 
@@ -191,12 +180,10 @@ class CompoundBehaviorModel:
     def score(self, days: Sequence[date], batch_size: int = 1024) -> Dict[str, np.ndarray]:
         """Per-aspect anomaly scores.
 
-        A thin driver over the staged pipeline's
-        :class:`~repro.core.pipeline.ScoringStage`: scoring streams
-        ``batch_size`` flattened matrices at a time through each
-        autoencoder, partitioned over the model's shard plan.  Errors
-        are per-row and chunk shapes are shard-independent, so any
-        batch size and any shard count yield identical scores.
+        Scoring streams ``batch_size`` flattened matrices at a time
+        through each autoencoder
+        (:meth:`~repro.nn.autoencoder.Autoencoder.reconstruction_error`);
+        errors are per-row, so any batch size yields identical scores.
 
         Returns:
             aspect name -> array ``(n_users, len(days))`` of
@@ -205,19 +192,13 @@ class CompoundBehaviorModel:
         self._require_fitted()
         days = list(days)
         telemetry = get_telemetry()
-        scoring = self._engine.scoring
         scores: Dict[str, np.ndarray] = {}
-        with telemetry.span(
-            "detector.score",
-            model=self.config.name,
-            days=len(days),
-            n_shards=self.config.n_shards,
-        ):
+        with telemetry.span("detector.score", model=self.config.name, days=len(days)):
             for aspect in self._aspects:
                 with telemetry.span("detector.score.aspect", aspect=aspect.name):
                     view = self._view_for(aspect, days)
                     ae = self._autoencoders[aspect.name]
-                    errors = scoring.score_view(view, ae, batch_size=batch_size)
+                    errors = ae.reconstruction_error(view, batch_size=batch_size)
                     scores[aspect.name] = errors.reshape(view.n_users, view.n_anchors)
                 telemetry.counter("detector.scored_vectors_total").inc(
                     view.n_users * view.n_anchors
@@ -277,15 +258,9 @@ class CompoundBehaviorModel:
 
     @property
     def engine(self) -> DetectionPipeline:
-        """The staged shard-aware execution engine built at fit time."""
+        """The staged execution engine built at fit time."""
         self._require_representation()
         return self._engine
-
-    @property
-    def shard_plan(self) -> ShardPlan:
-        """The deterministic user partition driving every stage."""
-        self._require_representation()
-        return self._engine.plan
 
     # ------------------------------------------------------------------
     def _prepare_representation(
@@ -296,17 +271,13 @@ class CompoundBehaviorModel:
     ) -> None:
         """Build the engine, deviations, value pipeline and aspect list.
 
-        The shard plan partitions the cube's users once; the
-        :class:`~repro.core.pipeline.RepresentationStage` then computes
-        the behavioural representation shard by shard (bit-identical to
-        the monolithic math for any shard count), and the value
-        pipeline combines the weighted/normalized arrays exactly once
-        for ``score``/``investigate`` and every per-aspect view.
+        The :class:`~repro.core.pipeline.RepresentationStage` computes
+        the behavioural representation, and the value pipeline combines
+        the weighted/normalized arrays exactly once for
+        ``score``/``investigate`` and every per-aspect view.
         """
         cfg = self.config
-        self._engine = DetectionPipeline.for_users(
-            len(cube.users), cfg.n_shards, n_jobs=cfg.n_jobs
-        )
+        self._engine = DetectionPipeline()
         self._deviations = self._build_representation(cube, dict(group_map or {}), train_days)
         self._aspects = self._resolve_aspects(cube.feature_set)
         self._pipeline = RepresentationPipeline.from_deviations(
@@ -387,10 +358,12 @@ def make_acobe(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
+    n_shards: int = 1,  # retired, accepts only 1: drop with the next benchmark change
 ) -> CompoundBehaviorModel:
     """ACOBE as evaluated in Section V (N=3, omega=30)."""
+    if n_shards != 1:
+        raise ValueError(f"user sharding was removed; n_shards must be 1, not {n_shards}")
     return _zoo_model(
         ModelConfig(
             name="ACOBE",
@@ -399,7 +372,6 @@ def make_acobe(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -413,7 +385,6 @@ def make_no_group(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The No-Group ablation: ACOBE without the group-behaviour block."""
@@ -426,7 +397,6 @@ def make_no_group(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -438,7 +408,6 @@ def make_one_day(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The 1-Day ablation: normalized single-day occurrences."""
@@ -451,7 +420,6 @@ def make_one_day(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -465,7 +433,6 @@ def make_all_in_one(
     critic_n: int = 1,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The All-in-1 ablation: one autoencoder over every feature."""
@@ -478,7 +445,6 @@ def make_all_in_one(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -490,7 +456,6 @@ def make_baseline(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """Liu et al.'s Baseline (fit it with the coarse-grained cube).
@@ -510,7 +475,6 @@ def make_baseline(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -522,7 +486,6 @@ def make_base_ff(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """Base-FF: the Baseline framework on ACOBE's fine-grained features.
@@ -540,7 +503,6 @@ def make_base_ff(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,

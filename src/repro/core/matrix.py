@@ -82,26 +82,6 @@ class CompoundMatrices:
         """All vectors pooled into a 2-D training matrix."""
         return self.vectors.reshape(-1, self.dim)
 
-    def user_slice(self, start: int, stop: int) -> "CompoundMatrices":
-        """A zero-copy container restricted to users ``[start, stop)``.
-
-        Mirrors :meth:`repro.core.representation.MatrixView.user_slice`
-        so shard-aware callers can work against either representation;
-        the sliced ``vectors`` share the parent's memory.
-        """
-        if not 0 <= start < stop <= len(self.users):
-            raise ValueError(
-                f"user range [{start}, {stop}) not within [0, {len(self.users)}]"
-            )
-        return CompoundMatrices(
-            vectors=self.vectors[start:stop],
-            users=self.users[start:stop],
-            anchor_days=self.anchor_days,
-            feature_names=self.feature_names,
-            matrix_days=self.matrix_days,
-            includes_group=self.includes_group,
-        )
-
     def matrix_of(self, user: str, day: date, n_timeframes: int) -> np.ndarray:
         """Un-flatten one compound matrix back to (blocks*F, T, D) for display."""
         vec = self.vectors[self.user_index(user), self.day_index(day)]

@@ -175,6 +175,7 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
 
     try:
         config_dict = dict(payload["config"])
+        config_dict.pop("n_shards", None)  # retired knob, still in older config.json files
         ae_dict = dict(config_dict.pop("autoencoder"))
         ae_dict["encoder_units"] = tuple(ae_dict["encoder_units"])
         ae_dict.pop("extra", None)

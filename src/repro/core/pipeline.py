@@ -1,57 +1,35 @@
-"""Staged detection pipeline with user-sharded execution.
+"""Staged detection pipeline: representation, then critic.
 
-ACOBE's data plane is embarrassingly partitionable by *user*: the
-deviation equations (Section IV-A) reduce over each user's own history,
-autoencoder scoring is per-row, and the critic's rankings are a pure
-function of the merged per-user scores.  This module makes that
-structure explicit::
+ACOBE's data plane has three steps (Section IV): build the behavioural
+representation, score every user with the per-aspect autoencoders, and
+rank the scores with the critic (Algorithm 1).  Scoring is a plain
+:meth:`repro.nn.autoencoder.Autoencoder.reconstruction_error` call, so
+the drivers make it directly; the two steps with real logic live here::
 
-    RepresentationStage --> ScoringStage --> CriticStage
-           |                    |                 |
-           +---- ShardPlan (deterministic user partition) ----+
+    RepresentationStage --> Autoencoder.reconstruction_error --> CriticStage
 
-* :class:`ShardPlan` partitions the user axis into contiguous,
-  near-equal ranges.  Degenerate configurations raise typed errors
-  (:class:`InvalidShardCountError`, :class:`TooManyShardsError`)
-  instead of silently clamping.
-* :class:`RepresentationStage` computes per-user deviation series one
-  shard at a time (optionally on the :func:`repro.nn.parallel.map_parallel`
-  process pool) and concatenates the per-shard arrays back into the
-  exact monolithic result -- every reduction is along the day axis, so
-  slicing users commutes with the math bit-for-bit.
-* :class:`ScoringStage` partitions scoring work along the **global
-  mini-batch chunk grid** -- the same ``[start, start+batch_size)``
-  chunks the monolithic ``reconstruction_error`` loop walks -- and
-  assigns whole chunks to the shard that owns each chunk's first row.
-  Because every chunk is an independent matmul whose shape never
-  depends on the shard count, sharded scoring is bit-identical to the
-  monolithic path by construction (BLAS kernels may pick different
-  instruction paths for different *matrix shapes*, so naive per-user
-  slicing would not be safe; identical chunk shapes are).
-* :class:`CriticStage` merges the globally-ordered scores into
-  Algorithm 1's investigation list.
+* :class:`RepresentationStage` computes the deviation (the
+  :func:`repro.core.deviation.compute_deviations` math) or normalized
+  representation of every user and group.
+* :class:`CriticStage` turns per-aspect score arrays into Algorithm 1's
+  investigation list.
 
-Autoencoder *training* intentionally stays global: mini-batch SGD pools
-rows across all users, so sharding it would change the trained weights.
-The per-aspect ensemble already fans out over processes in
-:mod:`repro.nn.parallel`.
+Every stage runs once over all users, in the calling process.  The
+per-aspect ensemble *training* fans out over processes in
+:mod:`repro.nn.parallel`; nothing here does.
 
 Layering: this module sits below :mod:`repro.core.detector` /
 :mod:`repro.core.streaming` (both import it) and must never import
 them, nor :mod:`repro.eval` / :mod:`repro.cli` (enforced by
 ``tools/check_layering.py``).
 
-Telemetry: every stage reports through :mod:`repro.obs` -- the
-``pipeline.shards`` gauge, per-shard ``shard.fit_seconds`` /
-``shard.score_seconds`` histograms and the ``merge_seconds`` histogram.
+Telemetry: each stage records one span (``pipeline.representation``,
+``pipeline.critic``) through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -59,271 +37,28 @@ from repro.core.critic import InvestigationList, investigation_list
 from repro.core.deviation import (
     DeviationConfig,
     DeviationCube,
-    deviate_against_history,
-    deviation_series,
+    compute_deviations,
     group_means,
 )
-from repro.nn.autoencoder import Autoencoder
-from repro.nn.parallel import map_parallel, resolve_n_jobs
-from repro.nn.serialization import network_from_bytes, network_to_bytes
 from repro.obs import get_telemetry
 
 __all__ = [
     "CriticStage",
     "DetectionPipeline",
-    "InvalidShardCountError",
     "RepresentationStage",
-    "ScoringStage",
-    "Shard",
-    "ShardPlan",
-    "ShardPlanError",
-    "TooManyShardsError",
-    "chunk_grid",
-    "resolve_n_shards",
-    "sharded_deviate_against_history",
 ]
 
-#: Environment variable consulted by :func:`resolve_n_shards`.
-SHARDS_ENV_VAR = "ACOBE_SHARDS"
 
-
-class ShardPlanError(ValueError):
-    """Base class for invalid shard configurations."""
-
-
-class InvalidShardCountError(ShardPlanError):
-    """``n_shards`` is not a positive integer."""
-
-
-class TooManyShardsError(ShardPlanError):
-    """More shards requested than there are users to partition."""
-
-
-def resolve_n_shards(n_shards: Optional[int] = None) -> int:
-    """The effective shard count: explicit value, else ``ACOBE_SHARDS``, else 1.
-
-    Raises:
-        InvalidShardCountError: the resolved value is < 1 (or the
-            environment variable is not an integer).
-    """
-    if n_shards is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            n_shards = int(raw)
-        except ValueError:
-            raise InvalidShardCountError(
-                f"{SHARDS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-    if n_shards < 1:
-        raise InvalidShardCountError(f"n_shards must be >= 1, got {n_shards}")
-    return int(n_shards)
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous user range ``[start, stop)`` of a :class:`ShardPlan`."""
-
-    index: int
-    start: int
-    stop: int
-
-    @property
-    def n_users(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def slice(self) -> slice:
-        return slice(self.start, self.stop)
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """A deterministic partition of ``n_users`` into contiguous shards.
-
-    The first ``n_users % n_shards`` shards hold one extra user, so
-    shard sizes differ by at most one and the partition depends only on
-    ``(n_users, n_shards)`` -- never on scheduling or platform.
-    """
-
-    n_users: int
-    shards: Tuple[Shard, ...]
-
-    @classmethod
-    def for_users(cls, n_users: int, n_shards: int) -> "ShardPlan":
-        """Partition ``n_users`` into ``n_shards`` contiguous ranges.
-
-        Raises:
-            InvalidShardCountError: ``n_shards < 1``.
-            TooManyShardsError: ``n_shards > n_users`` (an empty shard
-                is a configuration error, not something to clamp away).
-        """
-        if n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {n_users}")
-        if n_shards < 1:
-            raise InvalidShardCountError(f"n_shards must be >= 1, got {n_shards}")
-        if n_shards > n_users:
-            raise TooManyShardsError(
-                f"cannot split {n_users} user(s) into {n_shards} shards; "
-                f"every shard must own at least one user"
-            )
-        base, remainder = divmod(n_users, n_shards)
-        shards = []
-        start = 0
-        for index in range(n_shards):
-            size = base + (1 if index < remainder else 0)
-            shards.append(Shard(index=index, start=start, stop=start + size))
-            start += size
-        return cls(n_users=n_users, shards=tuple(shards))
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __iter__(self) -> Iterator[Shard]:
-        return iter(self.shards)
-
-    def __getitem__(self, index: int) -> Shard:
-        return self.shards[index]
-
-    def shard_of(self, user_index: int) -> int:
-        """Index of the shard owning ``user_index``."""
-        if not 0 <= user_index < self.n_users:
-            raise IndexError(f"user index {user_index} not in [0, {self.n_users})")
-        for shard in self.shards:
-            if user_index < shard.stop:
-                return shard.index
-        raise IndexError(user_index)  # pragma: no cover - unreachable
-
-
-def chunk_grid(n_rows: int, batch_size: int) -> List[Tuple[int, int]]:
-    """The monolithic scorer's batch grid: ``[start, stop)`` row chunks.
-
-    This grid depends only on ``(n_rows, batch_size)`` -- never on the
-    shard count -- which is what makes sharded scoring bit-identical:
-    each chunk is computed as one matmul of exactly the shape the
-    monolithic ``reconstruction_error`` loop would use.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return [(start, min(start + batch_size, n_rows)) for start in range(0, n_rows, batch_size)]
-
-
-# ---------------------------------------------------------------------------
-# Worker entry points (module-level so they pickle under fork)
-# ---------------------------------------------------------------------------
-
-
-def _deviation_worker(
-    task: Tuple[np.ndarray, DeviationConfig],
-) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Per-shard deviation series: (elapsed, sigma, weights)."""
-    values, config = task
-    start = time.perf_counter()
-    sigma, weights = deviation_series(values, config)
-    return time.perf_counter() - start, sigma, weights
-
-
-def _normalize_worker(
-    task: Tuple[np.ndarray, Tuple[int, ...], float],
-) -> Tuple[float, np.ndarray]:
-    """Per-shard train-max normalization: (elapsed, normalized values)."""
-    values, train_idx, delta = task
-    start = time.perf_counter()
+def _normalize(values: np.ndarray, train_idx: Tuple[int, ...], delta: float) -> np.ndarray:
+    """Train-max normalization of each series, mapped onto ``[-delta, delta]``."""
     maxima = values[..., list(train_idx)].max(axis=-1, keepdims=True)
     maxima = np.maximum(maxima, 1.0)
     normalized = np.clip(values / maxima, 0.0, 1.0)
-    return time.perf_counter() - start, (normalized * 2.0 - 1.0) * delta
-
-
-def _score_chunks_worker(task: "_ScoreShardTask") -> Tuple[float, List[np.ndarray]]:
-    """Score one shard's chunks against rebuilt autoencoder weights.
-
-    Every chunk is evaluated exactly as the monolithic
-    ``reconstruction_error`` loop would: one dense gather, one forward
-    pass with the same batch geometry, one per-row error reduction.
-    """
-    start = time.perf_counter()
-    ae = Autoencoder(input_dim=task.input_dim, config=task.ae_config)
-    network_from_bytes(ae.network, task.payload)
-    ae._fitted = True  # weights are trained; loading replaces fit()
-    errors = [
-        ae.reconstruction_error(task.rows(lo, hi), batch_size=task.batch_size)
-        for lo, hi in task.chunks
-    ]
-    return time.perf_counter() - start, errors
-
-
-@dataclass(frozen=True)
-class _ScoreShardTask:
-    """One shard's scoring work: chunk bounds + the data to gather them from.
-
-    ``source`` is either a zero-copy per-shard :class:`MatrixView` slice
-    (batch scoring) or a dense ``(n, dim)`` array slice (streaming);
-    ``offset`` maps the task's global row bounds into the slice.
-    """
-
-    source: object
-    offset: int
-    chunks: Tuple[Tuple[int, int], ...]
-    payload: bytes
-    ae_config: object
-    input_dim: int
-    batch_size: int
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        indices = np.arange(lo - self.offset, hi - self.offset)
-        if isinstance(self.source, np.ndarray):
-            return np.asarray(self.source[indices], dtype=np.float64)
-        return np.asarray(self.source.rows(indices), dtype=np.float64)
-
-
-def sharded_deviate_against_history(
-    current: np.ndarray,
-    history: np.ndarray,
-    config: DeviationConfig,
-    plan: ShardPlan,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-shard :func:`deviate_against_history`, concatenated back.
-
-    The single-day deviation reduces over the last (history) axis only,
-    so computing it one user range at a time and concatenating along
-    axis 0 is bit-identical to the monolithic call for any plan.
-    """
-    if plan.n_users != np.asarray(current).shape[0]:
-        raise ValueError(
-            f"plan covers {plan.n_users} users, slab has {np.asarray(current).shape[0]}"
-        )
-    if len(plan) == 1:
-        return deviate_against_history(current, history, config)
-    parts = [
-        deviate_against_history(current[s.slice], history[s.slice], config)
-        for s in plan
-    ]
-    return (
-        np.concatenate([sigma for sigma, _ in parts], axis=0),
-        np.concatenate([weights for _, weights in parts], axis=0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
+    return (normalized * 2.0 - 1.0) * delta
 
 
 class RepresentationStage:
-    """Builds the behavioural deviation representation, shard by shard.
-
-    The per-user deviation math reduces along the day axis only, so
-    every shard computes its user range independently; the group series
-    stays global (groups are few and shared by every shard).  Outputs
-    are bit-identical to :func:`repro.core.deviation.compute_deviations`
-    for any shard count.
-    """
-
-    def __init__(self, plan: ShardPlan, n_jobs: int = 1):
-        self.plan = plan
-        self.n_jobs = n_jobs
+    """Builds the behavioural representation of every user and group."""
 
     def deviation_cube(
         self,
@@ -331,40 +66,13 @@ class RepresentationStage:
         group_map: Mapping[str, str],
         config: DeviationConfig,
     ) -> DeviationCube:
-        """Sharded equivalent of :func:`~repro.core.deviation.compute_deviations`."""
-        group_map = dict(group_map) or {u: "all" for u in cube.users}
-        missing = [u for u in cube.users if u not in group_map]
-        if missing:
-            raise ValueError(f"group_map missing users: {missing[:5]}")
-
-        telemetry = get_telemetry()
-        with telemetry.span(
-            "pipeline.representation", users=len(cube.users), shards=len(self.plan)
+        """:func:`~repro.core.deviation.compute_deviations`, traced as one stage."""
+        with get_telemetry().span(
+            "pipeline.representation", users=len(cube.users)
         ) as span:
-            telemetry.gauge("pipeline.shards").set(len(self.plan))
-            sigma, weights = self._sharded_series(cube.values, config, telemetry)
-            days = list(cube.days[config.history_days :])
-
-            groups = sorted({group_map[u] for u in cube.users})
-            group_index = {g: i for i, g in enumerate(groups)}
-            group_of_user = [group_index[group_map[u]] for u in cube.users]
-            group_values = group_means(cube.values, group_of_user, len(groups))
-            group_sigma, group_weights = deviation_series(group_values, config)
-            span.annotate(days=len(days), groups=len(groups))
-
-        return DeviationCube(
-            sigma=sigma,
-            weights=weights,
-            users=list(cube.users),
-            feature_set=cube.feature_set,
-            timeframes=cube.timeframes,
-            days=days,
-            config=config,
-            groups=groups,
-            group_of_user=group_of_user,
-            group_sigma=group_sigma,
-            group_weights=group_weights,
-        )
+            deviations = compute_deviations(cube, dict(group_map), config)
+            span.annotate(days=len(deviations.days), groups=len(deviations.groups))
+        return deviations
 
     def normalized_cube(
         self,
@@ -373,32 +81,29 @@ class RepresentationStage:
         train_days: Sequence,
         delta: float,
     ) -> DeviationCube:
-        """Sharded min-max normalized representation (1-Day / Baseline models).
+        """Min-max normalized representation (1-Day / Baseline models).
 
         Each (user, feature, time-frame) series normalizes against its
-        own training-day maximum, so user shards are independent; the
-        group block normalizes globally from the group-mean series.
+        own training-day maximum; the group block normalizes the same
+        way from the group-mean series.
         """
         train_set = set(train_days)
         train_idx = tuple(i for i, d in enumerate(cube.days) if d in train_set)
         if not train_idx:
             raise ValueError("train_days do not overlap the measurement cube")
 
-        telemetry = get_telemetry()
-        with telemetry.span(
+        with get_telemetry().span(
             "pipeline.representation",
             users=len(cube.users),
-            shards=len(self.plan),
             representation="normalized",
         ):
-            telemetry.gauge("pipeline.shards").set(len(self.plan))
-            sigma = self._sharded_normalize(cube.values, train_idx, delta, telemetry)
+            sigma = _normalize(cube.values, train_idx, delta)
 
             groups = sorted({group_map[u] for u in cube.users})
             group_index = {g: i for i, g in enumerate(groups)}
             group_of_user = [group_index[group_map[u]] for u in cube.users]
             group_values = group_means(cube.values, group_of_user, len(groups))
-            _, group_sigma = _normalize_worker((group_values, train_idx, delta))
+            group_sigma = _normalize(group_values, train_idx, delta)
 
         # window=2 is a placeholder: no history is consumed in this
         # representation, so every cube day stays addressable.
@@ -417,186 +122,9 @@ class RepresentationStage:
             group_weights=np.ones_like(group_sigma),
         )
 
-    # ------------------------------------------------------------------
-    def _sharded_series(
-        self, values: np.ndarray, config: DeviationConfig, telemetry
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if len(self.plan) == 1:
-            elapsed, sigma, weights = _deviation_worker((values, config))
-            telemetry.histogram("shard.fit_seconds").observe(elapsed)
-            return sigma, weights
-        tasks = [(values[s.slice], config) for s in self.plan]
-        results, mode = map_parallel(_deviation_worker, tasks, n_jobs=self.n_jobs)
-        for elapsed, _, _ in results:
-            telemetry.histogram("shard.fit_seconds").observe(elapsed)
-        merge_start = time.perf_counter()
-        sigma = np.concatenate([r[1] for r in results], axis=0)
-        weights = np.concatenate([r[2] for r in results], axis=0)
-        telemetry.histogram("merge_seconds").observe(time.perf_counter() - merge_start)
-        telemetry.counter("pipeline.shard_series_total").inc(len(tasks))
-        return sigma, weights
-
-    def _sharded_normalize(
-        self, values: np.ndarray, train_idx: Tuple[int, ...], delta: float, telemetry
-    ) -> np.ndarray:
-        if len(self.plan) == 1:
-            elapsed, normalized = _normalize_worker((values, train_idx, delta))
-            telemetry.histogram("shard.fit_seconds").observe(elapsed)
-            return normalized
-        tasks = [(values[s.slice], train_idx, delta) for s in self.plan]
-        results, mode = map_parallel(_normalize_worker, tasks, n_jobs=self.n_jobs)
-        for elapsed, _ in results:
-            telemetry.histogram("shard.fit_seconds").observe(elapsed)
-        merge_start = time.perf_counter()
-        normalized = np.concatenate([r[1] for r in results], axis=0)
-        telemetry.histogram("merge_seconds").observe(time.perf_counter() - merge_start)
-        return normalized
-
-
-class ScoringStage:
-    """Scores users against trained autoencoders over the shard plan.
-
-    Work is partitioned along the monolithic scorer's own chunk grid
-    (:func:`chunk_grid`); each chunk belongs to the shard that owns its
-    first row's user.  Chunk shapes therefore never depend on the shard
-    count, which makes the merged scores bit-identical to the
-    single-shard path -- no assumptions about BLAS shape dispatch.
-    """
-
-    def __init__(self, plan: ShardPlan, n_jobs: int = 1):
-        self.plan = plan
-        self.n_jobs = n_jobs
-
-    def score_view(self, view, autoencoder: Autoencoder, batch_size: int = 1024) -> np.ndarray:
-        """Reconstruction errors of every pooled ``(user, anchor)`` row.
-
-        Equivalent to ``autoencoder.reconstruction_error(view, ...)``;
-        with more than one shard the chunks fan out over the plan.
-        """
-        if len(self.plan) == 1:
-            return autoencoder.reconstruction_error(view, batch_size=batch_size)
-        return self._score_sharded(
-            view, autoencoder, n_rows=len(view), rows_per_user=view.n_anchors,
-            batch_size=batch_size,
-        )
-
-    def score_vectors(
-        self, vectors: np.ndarray, autoencoder: Autoencoder, batch_size: int = 1024
-    ) -> np.ndarray:
-        """Reconstruction errors of dense per-user vectors ``(n_users, dim)``."""
-        if len(self.plan) == 1:
-            return autoencoder.reconstruction_error(vectors, batch_size=batch_size)
-        return self._score_sharded(
-            vectors, autoencoder, n_rows=vectors.shape[0], rows_per_user=1,
-            batch_size=batch_size,
-        )
-
-    # ------------------------------------------------------------------
-    def _score_sharded(
-        self,
-        source,
-        autoencoder: Autoencoder,
-        n_rows: int,
-        rows_per_user: int,
-        batch_size: int,
-    ) -> np.ndarray:
-        telemetry = get_telemetry()
-        chunks = chunk_grid(n_rows, batch_size)
-        per_shard = self._assign_chunks(chunks, rows_per_user)
-        occupied = [(shard, owned) for shard, owned in zip(self.plan, per_shard) if owned]
-
-        with telemetry.span(
-            "pipeline.score", shards=len(self.plan), chunks=len(chunks)
-        ) as span:
-            telemetry.gauge("pipeline.shards").set(len(self.plan))
-            workers = resolve_n_jobs(self.n_jobs, len(occupied))
-            if workers == 1:
-                results = [
-                    self._score_chunks_local(source, autoencoder, owned, batch_size)
-                    for _, owned in occupied
-                ]
-                mode = "serial"
-            else:
-                payload = network_to_bytes(autoencoder.network)
-                tasks = [
-                    self._shard_task(source, autoencoder, payload, owned, rows_per_user, batch_size)
-                    for _, owned in occupied
-                ]
-                results, mode = map_parallel(
-                    _score_chunks_worker, tasks, n_jobs=self.n_jobs
-                )
-            span.annotate(mode=mode)
-
-            merge_start = time.perf_counter()
-            errors = np.empty(n_rows)
-            for (_, owned), (elapsed, chunk_errors) in zip(occupied, results):
-                telemetry.histogram("shard.score_seconds").observe(elapsed)
-                for (lo, hi), values in zip(owned, chunk_errors):
-                    errors[lo:hi] = values
-            telemetry.histogram("merge_seconds").observe(
-                time.perf_counter() - merge_start
-            )
-            telemetry.counter("pipeline.chunks_scored_total").inc(len(chunks))
-        return errors
-
-    def _assign_chunks(
-        self, chunks: Sequence[Tuple[int, int]], rows_per_user: int
-    ) -> List[List[Tuple[int, int]]]:
-        """Deterministic chunk ownership: the shard of the chunk's first user."""
-        per_shard: List[List[Tuple[int, int]]] = [[] for _ in self.plan]
-        for lo, hi in chunks:
-            owner = self.plan.shard_of(lo // rows_per_user)
-            per_shard[owner].append((lo, hi))
-        return per_shard
-
-    def _score_chunks_local(
-        self, source, autoencoder: Autoencoder, owned, batch_size: int
-    ) -> Tuple[float, List[np.ndarray]]:
-        """In-process scoring of one shard's chunks (no weight round-trip)."""
-        start = time.perf_counter()
-        errors = []
-        for lo, hi in owned:
-            indices = np.arange(lo, hi)
-            if isinstance(source, np.ndarray):
-                xb = np.asarray(source[indices], dtype=np.float64)
-            else:
-                xb = np.asarray(source.rows(indices), dtype=np.float64)
-            errors.append(autoencoder.reconstruction_error(xb, batch_size=batch_size))
-        return time.perf_counter() - start, errors
-
-    def _shard_task(
-        self,
-        source,
-        autoencoder: Autoencoder,
-        payload: bytes,
-        owned: Sequence[Tuple[int, int]],
-        rows_per_user: int,
-        batch_size: int,
-    ) -> _ScoreShardTask:
-        """Ship only the user span a shard's chunks actually touch."""
-        first_user = owned[0][0] // rows_per_user
-        last_user = (owned[-1][1] - 1) // rows_per_user
-        offset = first_user * rows_per_user
-        if isinstance(source, np.ndarray):
-            sliced = source[first_user : last_user + 1]
-        else:
-            sliced = source.user_slice(first_user, last_user + 1)
-        return _ScoreShardTask(
-            source=sliced,
-            offset=offset,
-            chunks=tuple(owned),
-            payload=payload,
-            ae_config=autoencoder.config,
-            input_dim=autoencoder.input_dim,
-            batch_size=batch_size,
-        )
-
 
 class CriticStage:
-    """Merges globally-ordered per-aspect scores into Algorithm 1's list."""
-
-    def __init__(self, plan: ShardPlan):
-        self.plan = plan
+    """Ranks per-aspect scores into Algorithm 1's investigation list."""
 
     def investigate(
         self,
@@ -604,49 +132,31 @@ class CriticStage:
         users: Sequence[str],
         n_votes: int,
     ) -> InvestigationList:
-        """Rank the merged scores: aspect -> ``(n_users,)`` array.
+        """Rank the scores: aspect -> ``(n_users,)`` array.
 
         The critic is inherently global -- ranks compare every user --
-        so this stage runs after the deterministic score merge; it
-        exists so batch and streaming drivers share one entry point
-        (and one telemetry surface) into Algorithm 1.
+        and this stage is the one entry point (and telemetry surface)
+        batch and streaming drivers share into Algorithm 1.
         """
-        telemetry = get_telemetry()
-        with telemetry.span(
+        with get_telemetry().span(
             "pipeline.critic", aspects=len(aspect_arrays), users=len(users)
         ):
-            merge_start = time.perf_counter()
             aspect_scores = {
                 aspect: {user: float(array[i]) for i, user in enumerate(users)}
                 for aspect, array in aspect_arrays.items()
             }
-            result = investigation_list(aspect_scores, n_votes)
-            telemetry.histogram("merge_seconds").observe(
-                time.perf_counter() - merge_start
-            )
-        return result
+            return investigation_list(aspect_scores, n_votes)
 
 
 class DetectionPipeline:
-    """The staged engine: one ShardPlan driving all three stages.
+    """The staged engine behind every driver.
 
     Batch (:class:`~repro.core.detector.CompoundBehaviorModel`),
     streaming (:class:`~repro.core.streaming.StreamingDetector`) and
     evaluation (:func:`repro.eval.experiments.run_model`) are thin
-    drivers over one instance of this class.
+    drivers over these stages.
     """
 
-    def __init__(self, plan: ShardPlan, n_jobs: int = 1):
-        self.plan = plan
-        self.n_jobs = n_jobs
-        self.representation = RepresentationStage(plan, n_jobs=n_jobs)
-        self.scoring = ScoringStage(plan, n_jobs=n_jobs)
-        self.critic = CriticStage(plan)
-
-    @classmethod
-    def for_users(cls, n_users: int, n_shards: int, n_jobs: int = 1) -> "DetectionPipeline":
-        return cls(ShardPlan.for_users(n_users, n_shards), n_jobs=n_jobs)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.plan)
+    def __init__(self) -> None:
+        self.representation = RepresentationStage()
+        self.critic = CriticStage()

@@ -209,31 +209,6 @@ class MatrixView:
         w = self._window_starts[anchor_index]
         return self._windows[:, :, :, w, :].reshape(self.n_users, self.dim)
 
-    # -- sharding -------------------------------------------------------
-    def user_slice(self, start: int, stop: int) -> "MatrixView":
-        """A zero-copy view restricted to users ``[start, stop)``.
-
-        The sliced view shares the base value array's memory (basic
-        slicing along axis 0 keeps strides, copies nothing) and its
-        pooled rows are the contiguous global rows
-        ``[start * n_anchors, stop * n_anchors)`` -- which is how the
-        sharded :class:`repro.core.pipeline.ScoringStage` ships each
-        shard's slice of work to a process pool at its marginal size.
-        """
-        if not 0 <= start < stop <= self.n_users:
-            raise ValueError(
-                f"user range [{start}, {stop}) not within [0, {self.n_users}]"
-            )
-        return MatrixView(
-            values=self._values[start:stop],
-            users=self.users[start:stop],
-            anchor_days=self.anchor_days,
-            window_starts=self._window_starts,
-            matrix_days=self.matrix_days,
-            feature_names=self.feature_names,
-            includes_group=self.includes_group,
-        )
-
     # -- materialization (compat) ---------------------------------------
     def materialize(self) -> np.ndarray:
         """The full dense tensor ``(n_users, n_anchors, dim)``.

@@ -54,12 +54,7 @@ import numpy as np
 from repro.core.critic import InvestigationList
 from repro.core.detector import CompoundBehaviorModel
 from repro.core.deviation import DeviationConfig, deviate_against_history, group_means
-from repro.core.pipeline import (
-    CriticStage,
-    ScoringStage,
-    ShardPlan,
-    sharded_deviate_against_history,
-)
+from repro.core.pipeline import CriticStage
 from repro.core.representation import aspect_rows, compound_values
 from repro.obs import get_telemetry
 
@@ -212,13 +207,7 @@ class StreamingDetector:
         self._dev_config = DeviationConfig(
             window=cfg.window, delta=cfg.delta, epsilon=cfg.epsilon
         )
-        # The staged pipeline's shard plan partitions this stream's users
-        # exactly like the batch path partitions the cube's; per-day
-        # deviation and scoring run shard by shard with bit-identical
-        # results for any shard count.
-        self._plan = ShardPlan.for_users(len(self.users), cfg.n_shards)
-        self._scoring = ScoringStage(self._plan, n_jobs=cfg.n_jobs)
-        self._critic = CriticStage(self._plan)
+        self._critic = CriticStage()
         self._history: Deque[np.ndarray] = deque(maxlen=cfg.window - 1)
         self._sigma_buffer: Deque[Tuple[np.ndarray, np.ndarray]] = deque(maxlen=cfg.matrix_days)
         self._group_sigma_buffer: Deque[Tuple[np.ndarray, np.ndarray]] = deque(
@@ -289,11 +278,6 @@ class StreamingDetector:
         """The most recently observed day (quarantined days included)."""
         return self._last_day
 
-    @property
-    def shard_plan(self) -> ShardPlan:
-        """The deterministic user partition driving per-day scoring."""
-        return self._plan
-
     def warm_up(self, cube) -> None:
         """Seed the buffers from a measurement cube (e.g. the train data).
 
@@ -360,7 +344,7 @@ class StreamingDetector:
         if len(self._history) == self._history.maxlen:
             history = np.stack(self._history, axis=-1)  # (U, F, T, w-1)
             self._sigma_buffer.append(
-                sharded_deviate_against_history(slab, history, self._dev_config, self._plan)
+                deviate_against_history(slab, history, self._dev_config)
             )
             group_slab = group_means(slab, self._group_of_user, len(self.groups))
             group_history = group_means(history, self._group_of_user, len(self.groups))
@@ -588,7 +572,7 @@ class StreamingDetector:
             rows = aspect_rows(indices, n_features, cfg.include_group)
             vectors = values[:, rows].reshape(len(self.users), -1)
             autoencoder = self.model.autoencoder(aspect)
-            scores[aspect] = self._scoring.score_vectors(vectors, autoencoder)
+            scores[aspect] = autoencoder.reconstruction_error(vectors)
 
         return DailyResult(
             day=day,

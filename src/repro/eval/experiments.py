@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.critic import InvestigationList
 from repro.core.detector import CompoundBehaviorModel
-from repro.core.pipeline import resolve_n_shards
 from repro.datagen.attacks import AttackInjection, inject_wannacry, inject_zeus
 from repro.datagen.calendar import SimulationCalendar
 from repro.datagen.enterprise import (
@@ -86,8 +85,7 @@ class CertBenchmarkConfig:
     seed: int = 7
     #: worker processes for ensemble training (1 = serial, < 1 = all cores)
     n_jobs: int = 1
-    #: user shards for the staged detection pipeline (results identical)
-    n_shards: int = 1
+    n_shards: int = 1  # retired, accepts only 1: drop with the next benchmark change
     start: date = CERT_START
     #: 1 = alternate scenario 1/2 across departments; 2 = inject both
     #: scenarios in every department (the r6.1+r6.2 structure: each
@@ -95,6 +93,8 @@ class CertBenchmarkConfig:
     scenarios_per_department: int = 1
 
     def __post_init__(self) -> None:
+        if self.n_shards != 1:
+            raise ValueError(f"user sharding was removed; n_shards must be 1, not {self.n_shards}")
         if self.scenarios_per_department not in (1, 2):
             raise ValueError("scenarios_per_department must be 1 or 2")
         if self.n_days <= self.train_end_offset:
@@ -217,9 +217,8 @@ def cert_config(scale: Optional[str] = None) -> CertBenchmarkConfig:
     """Look up a CERT preset; defaults to $ACOBE_BENCH_SCALE or 'default'.
 
     ``$ACOBE_BENCH_JOBS`` overrides the preset's ensemble-training
-    worker count and ``$ACOBE_SHARDS`` the staged pipeline's user shard
-    count (results are identical at any value of either; see
-    :mod:`repro.nn.parallel` and :mod:`repro.core.pipeline`).
+    worker count (results are identical at any value; see
+    :mod:`repro.nn.parallel`).
     """
     scale = scale or os.environ.get("ACOBE_BENCH_SCALE", "default")
     try:
@@ -228,9 +227,8 @@ def cert_config(scale: Optional[str] = None) -> CertBenchmarkConfig:
         known = ", ".join(sorted(_CERT_PRESETS))
         raise ValueError(f"unknown scale {scale!r}; expected one of: {known}") from None
     jobs = _bench_jobs()
-    shards = resolve_n_shards(None)
-    if jobs != config.n_jobs or shards != config.n_shards:
-        config = replace(config, n_jobs=jobs, n_shards=shards)
+    if jobs != config.n_jobs:
+        config = replace(config, n_jobs=jobs)
     return config
 
 
@@ -367,7 +365,6 @@ def run_model(
         model=model.config.name,
         benchmark=benchmark.config.name,
         users=len(cube.users),
-        n_shards=model.config.n_shards,
     ) as span:
         model.fit(cube, benchmark.group_map, benchmark.train_days, verbose=verbose)
         test_anchors = model.valid_anchor_days(benchmark.test_days)
@@ -478,8 +475,6 @@ class CaseStudyConfig:
     train_stride: int = 1
     #: worker processes for ensemble training (1 = serial, < 1 = all cores)
     n_jobs: int = 1
-    #: user shards for the staged detection pipeline (results identical)
-    n_shards: int = 1
     seed: int = 13
     start: date = date(2021, 7, 1)
 
@@ -554,7 +549,6 @@ def case_study_config(attack: str, scale: Optional[str] = None) -> CaseStudyConf
         name=f"{attack}-{scale}",
         attack=attack,
         n_jobs=_bench_jobs(),
-        n_shards=resolve_n_shards(None),
         **kwargs,
     )
 
@@ -637,7 +631,6 @@ def run_case_study(
             critic_n=cfg.critic_n,
             train_stride=cfg.train_stride,
             n_jobs=cfg.n_jobs,
-            n_shards=cfg.n_shards,
             autoencoder=cfg.autoencoder,
         )
     )

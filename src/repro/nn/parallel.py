@@ -38,9 +38,12 @@ Workers train through the same single kernel path as the serial loop
 there is no arena setting to inherit, so the arena can never make
 parallel results diverge from serial ones.
 
-Platforms without the ``fork`` start method (and sandboxes where
-process pools cannot be created at all) silently fall back to the
-same-process serial path, which is result-identical by construction.
+The pool never has more workers than tasks or than usable cores
+(:func:`resolve_n_jobs`), so a one-core host trains serially whatever
+``n_jobs`` asks for.  Platforms without the ``fork`` start method (and
+sandboxes where process pools cannot be created at all) likewise fall
+back to the same-process serial path, which is result-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,14 +66,9 @@ __all__ = [
     "AspectTask",
     "TrainedAspect",
     "derive_seed",
-    "map_parallel",
     "resolve_n_jobs",
     "train_ensemble",
 ]
-
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
 
 def derive_seed(base_seed: Optional[int], index: int) -> Optional[int]:
     """Deterministic per-aspect seed from the ensemble-level seed.
@@ -132,19 +130,28 @@ class TrainedAspect:
     history: TrainingHistory
 
 
-def resolve_n_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
-    """Effective worker count: ``n_jobs < 1`` means "all cores".
+def usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The result is clamped to ``[1, n_tasks]`` -- spawning more workers
-    than aspects only costs fork overhead.
+
+def resolve_n_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
+    """Effective worker count: ``n_jobs < 1`` means "all usable cores".
+
+    The result is clamped to ``[1, min(n_tasks, usable_cores())]`` --
+    more workers than aspects or than cores only costs fork overhead,
+    so on a one-core host the ensemble always trains serially.
     """
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
+    cores = usable_cores()
     if n_jobs is None:
         n_jobs = 1
     if n_jobs < 1:
-        n_jobs = os.cpu_count() or 1
-    return max(1, min(n_jobs, n_tasks))
+        n_jobs = cores
+    return max(1, min(n_jobs, n_tasks, cores))
 
 
 def _train_serial(task: AspectTask, verbose: bool = False) -> TrainedAspect:
@@ -218,55 +225,6 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     return multiprocessing.get_context("fork")
 
 
-def map_parallel(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Sequence[_ItemT],
-    n_jobs: Optional[int] = 1,
-    fallback: Optional[Callable[[], object]] = None,
-) -> Tuple[list, str]:
-    """Order-preserving map over a fork process pool, with serial fallback.
-
-    The generic executor behind :func:`train_ensemble` and the sharded
-    detection pipeline (:mod:`repro.core.pipeline`): ``fn`` must be a
-    module-level (picklable) callable, ``items`` its task tuples.
-    Results come back in item order regardless of completion order, so
-    any deterministic ``fn`` yields deterministic output for every
-    ``n_jobs``.
-
-    Args:
-        fn: worker entry point, applied to each item.
-        items: the work list.
-        n_jobs: worker processes (1 = in-process, < 1 = all cores);
-            clamped to ``len(items)``.
-        fallback: optional zero-argument callable run *instead of* the
-            per-item map when pool creation fails (sandboxes without
-            working semaphores); its return value becomes ``results``.
-            Without one, the items are mapped serially in-process.
-
-    Returns:
-        ``(results, mode)`` where mode is ``"serial"``,
-        ``"serial-fallback"`` or ``"parallel"``.
-    """
-    items = list(items)
-    if not items:
-        return [], "serial"
-    workers = resolve_n_jobs(n_jobs, len(items))
-    context = _fork_context()
-    if workers == 1 or context is None:
-        return [fn(item) for item in items], "serial"
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            results = [f.result() for f in futures]
-    except (OSError, PermissionError):
-        # Sandboxes without working semaphores / process spawning: the
-        # serial path is result-identical, so degrade silently.
-        if fallback is not None:
-            return fallback(), "serial-fallback"
-        return [fn(item) for item in items], "serial-fallback"
-    return results, "parallel"
-
-
 def train_ensemble(
     tasks: Sequence[AspectTask],
     n_jobs: Optional[int] = 1,
@@ -277,7 +235,8 @@ def train_ensemble(
     Args:
         tasks: independent per-aspect training jobs; names must be unique.
         n_jobs: worker processes; 1 trains in-process, values < 1 use
-            all cores.  Results are bit-identical for every value.
+            all usable cores (see :func:`resolve_n_jobs`).  Results are
+            bit-identical for every value.
         verbose: per-epoch progress lines (serial path only).
 
     Returns:
@@ -307,12 +266,16 @@ def train_ensemble(
             span.annotate(mode="serial")
             return train_all_serial()
 
-        results, mode = map_parallel(
-            _train_in_worker, tasks, n_jobs=workers, fallback=train_all_serial
-        )
-        span.annotate(mode=mode)
-        if mode == "serial-fallback":
-            return results  # the fallback already built the name -> aspect dict
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                futures = [pool.submit(_train_in_worker, task) for task in tasks]
+                results = [f.result() for f in futures]
+        except (OSError, PermissionError):
+            # Sandboxes without working semaphores / process spawning: the
+            # serial path is result-identical, so degrade silently.
+            span.annotate(mode="serial-fallback")
+            return train_all_serial()
+        span.annotate(mode="parallel")
 
         telemetry.gauge("parallel.pool_workers").set(workers)
         trained = {}

@@ -183,8 +183,8 @@ def flip_bit(path: Union[str, Path], offset: Optional[int] = None, bit: int = 0)
 def corrupt_checkpoint_state(directory: Union[str, Path]) -> Path:
     """Bit-flip a committed checkpoint's state payload.
 
-    Works against both layouts: the legacy ``state.npz`` and the
-    shard-aware ``state_shard_*.npz`` / ``state_groups.npz`` files
+    Works against every layout: the legacy ``state.npz`` and the
+    version-2 ``state_groups.npz`` / ``state_shard_*.npz`` user slabs
     (the first state file in sorted order is flipped).  The manifest's
     recorded checksum is left untouched, so the next
     :func:`repro.core.checkpoint.load_checkpoint` must fail with a

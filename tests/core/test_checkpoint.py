@@ -1,7 +1,9 @@
 """Checkpoint/resume tests: durability, corruption detection, bit-identity."""
 
 import json
+import shutil
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.core.checkpoint import (
     GROUP_STATE_FILE,
     MANIFEST_FILE,
     STATE_FILE,
+    USER_STATE_FILE,
     CheckpointCorruptionError,
     CheckpointError,
     CheckpointMismatchError,
@@ -19,7 +22,6 @@ from repro.core.checkpoint import (
     load_checkpoint,
     resume_streaming,
     save_checkpoint,
-    shard_state_file,
 )
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.core.streaming import StreamingDetector
@@ -198,7 +200,7 @@ class TestValidation:
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.faults
-    @pytest.mark.parametrize("missing", [shard_state_file(0), GROUP_STATE_FILE])
+    @pytest.mark.parametrize("missing", [USER_STATE_FILE, GROUP_STATE_FILE])
     def test_partially_written_no_state(self, tmp_path, cube, group_map, fitted, missing):
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 10)
@@ -223,6 +225,15 @@ class TestValidation:
         save_checkpoint(stream, tmp_path / "ckpt")
         (tmp_path / "ckpt" / MANIFEST_FILE).write_text("{not json")
         with pytest.raises(CheckpointCorruptionError, match="corrupt checkpoint manifest"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.faults
+    def test_manifest_not_an_object(self, tmp_path, cube, group_map, fitted):
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 10)
+        save_checkpoint(stream, tmp_path / "ckpt")
+        (tmp_path / "ckpt" / MANIFEST_FILE).write_text("[]")
+        with pytest.raises(CheckpointCorruptionError, match="not a JSON object"):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_foreign_schema_rejected(self, tmp_path, cube, group_map, fitted):
@@ -262,15 +273,6 @@ class TestValidation:
         assert config_digest(fitted.config) == config_digest(fitted.config)
         other = ModelConfig(window=6, matrix_days=5, critic_n=2, autoencoder=TINY_AE)
         assert config_digest(other) != config_digest(fitted.config)
-
-    def test_config_digest_ignores_shard_count(self, fitted):
-        # n_shards is an execution-layout knob with bit-identical results,
-        # so it must not orphan checkpoints written at another count (or
-        # before the field existed at all).
-        from dataclasses import replace
-
-        sharded = replace(fitted.config, n_shards=4)
-        assert config_digest(sharded) == config_digest(fitted.config)
 
     def test_config_digest_pinned(self):
         # Literal digests of checkpoints already on disk: a change here
@@ -376,7 +378,7 @@ class TestV1Migration:
 
     def test_v1_resave_upgrades_layout(self, tmp_path, cube, group_map, fitted):
         # Resume a v1 checkpoint, save again: the directory becomes the
-        # v2 sharded layout and the legacy state.npz is cleaned up, so
+        # v2 layout and the legacy state.npz is cleaned up, so
         # the fault drills can never corrupt a file nobody reads.
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 15)
@@ -389,7 +391,7 @@ class TestV1Migration:
         manifest = json.loads((tmp_path / "v1" / MANIFEST_FILE).read_text())
         assert manifest["version"] == CHECKPOINT_VERSION
         assert not (tmp_path / "v1" / STATE_FILE).exists()
-        assert (tmp_path / "v1" / shard_state_file(0)).exists()
+        assert (tmp_path / "v1" / USER_STATE_FILE).exists()
         loaded = load_checkpoint(tmp_path / "v1")
         assert loaded.last_day == DAYS[19]
 
@@ -402,63 +404,121 @@ class TestV1Migration:
             load_checkpoint(tmp_path / "v1")
 
 
-class TestShardedLayout:
-    def test_sharded_save_partitions_users(self, tmp_path, cube, group_map):
-        from dataclasses import replace as dc_replace
+#: A checkpoint written by an older build that split users into three
+#: slabs: the ``fitted`` model's config with three user shards, a stream
+#: over ``cube``/``group_map`` fed days 0..17, then ``save_checkpoint``.
+THREE_SLAB_FIXTURE = Path(__file__).parent / "fixtures" / "checkpoint_v2_three_slabs"
 
-        model = CompoundBehaviorModel(
-            dc_replace(
-                ModelConfig(window=5, matrix_days=5, critic_n=2, autoencoder=TINY_AE),
-                n_shards=3,
-            )
-        )
-        model.fit(cube, group_map, DAYS[:25])
-        stream = StreamingDetector(model, cube.users, group_map)
-        feed(stream, cube, 0, 20)
-        save_checkpoint(stream, tmp_path / "ckpt")
 
-        manifest = json.loads((tmp_path / "ckpt" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == CHECKPOINT_VERSION
+def assert_states_equal(loaded, original):
+    assert len(loaded.history) == len(original.history)
+    assert len(loaded.sigma_buffer) == len(original.sigma_buffer)
+    assert len(loaded.group_sigma_buffer) == len(original.group_sigma_buffer)
+    for a, b in zip(loaded.history, original.history):
+        np.testing.assert_array_equal(a, b)
+    for (s1, w1), (s2, w2) in zip(loaded.sigma_buffer, original.sigma_buffer):
+        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(w1, w2)
+    for (s1, w1), (s2, w2) in zip(loaded.group_sigma_buffer, original.group_sigma_buffer):
+        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(w1, w2)
+    assert loaded.last_day == original.last_day
+    assert loaded.days_observed == original.days_observed
+
+
+class TestThreeSlabFixture:
+    """Multi-slab version-2 checkpoints from older builds still resume."""
+
+    CUT = 18
+
+    @pytest.fixture
+    def fixture_dir(self, tmp_path):
+        return Path(shutil.copytree(THREE_SLAB_FIXTURE, tmp_path / "three_slabs"))
+
+    def test_fixture_has_three_user_slabs(self):
+        manifest = json.loads((THREE_SLAB_FIXTURE / MANIFEST_FILE).read_text())
+        assert manifest["version"] == 2
         assert [s["file"] for s in manifest["shards"]] == [
-            shard_state_file(0), shard_state_file(1), shard_state_file(2),
+            "state_shard_000.npz", "state_shard_001.npz", "state_shard_002.npz",
         ]
-        starts = [s["start"] for s in manifest["shards"]]
-        stops = [s["stop"] for s in manifest["shards"]]
-        assert starts[0] == 0 and stops[-1] == len(cube.users)
-        assert starts[1:] == stops[:-1]  # contiguous partition
-        for s in manifest["shards"]:
-            assert (tmp_path / "ckpt" / s["file"]).exists()
-        assert (tmp_path / "ckpt" / GROUP_STATE_FILE).exists()
 
-        # A stream at a different shard count restores the same state.
-        loaded = load_checkpoint(tmp_path / "ckpt")
-        original = stream.export_state()
-        for a, b in zip(loaded.state.history, original.history):
-            np.testing.assert_array_equal(a, b)
-        for (s1, w1), (s2, w2) in zip(loaded.state.sigma_buffer, original.sigma_buffer):
-            np.testing.assert_array_equal(s1, s2)
-            np.testing.assert_array_equal(w1, w2)
+    def test_loads_bit_exactly(self, cube, group_map, fitted):
+        loaded = load_checkpoint(THREE_SLAB_FIXTURE)
+        fresh = StreamingDetector(fitted, cube.users, group_map)
+        feed(fresh, cube, 0, self.CUT)
+        assert loaded.users == cube.users
+        assert loaded.group_map == group_map
+        assert loaded.last_day == DAYS[self.CUT - 1]
+        assert_states_equal(loaded.state, fresh.export_state())
 
-    def test_resume_across_shard_counts(self, tmp_path, cube, group_map, fitted):
-        # Save at n_shards=1, resume into an n_shards=2 model: the digest
-        # ignores the layout knob and the scores stay bit-identical.
-        from dataclasses import replace as dc_replace
-
+    def test_resumes_bit_identically(self, fixture_dir, cube, group_map, fitted):
         reference = feed(StreamingDetector(fitted, cube.users, group_map), cube, 0, N_DAYS)
-        cut = 18
-        dying = StreamingDetector(fitted, cube.users, group_map)
-        feed(dying, cube, 0, cut)
-        save_checkpoint(dying, tmp_path / "ckpt")
-
-        sharded_model = CompoundBehaviorModel(dc_replace(fitted.config, n_shards=2))
-        sharded_model.fit(cube, group_map, DAYS[:25])
-        resumed = resume_streaming(sharded_model, tmp_path / "ckpt")
-        tail = feed(resumed, cube, cut, N_DAYS)
-        expected_tail = {d: r for d, r in reference.items() if d >= DAYS[cut]}
-        assert set(tail) == set(expected_tail)
+        resumed = resume_streaming(fitted, fixture_dir)
+        tail = feed(resumed, cube, self.CUT, N_DAYS)
+        expected_tail = {d: r for d, r in reference.items() if d >= DAYS[self.CUT]}
+        assert tail and set(tail) == set(expected_tail)
         for day, result in tail.items():
-            for aspect in result.scores:
-                assert np.array_equal(result.scores[aspect], expected_tail[day].scores[aspect])
+            expected = expected_tail[day]
+            for aspect in expected.scores:
+                assert np.array_equal(result.scores[aspect], expected.scores[aspect])
+            assert [(e.user, e.priority) for e in result.investigation.entries] == [
+                (e.user, e.priority) for e in expected.investigation.entries
+            ]
+
+    def test_resave_writes_one_slab(self, fixture_dir, fitted):
+        resumed = resume_streaming(fitted, fixture_dir)
+        save_checkpoint(resumed, fixture_dir)
+
+        manifest = json.loads((fixture_dir / MANIFEST_FILE).read_text())
+        assert manifest["version"] == CHECKPOINT_VERSION
+        assert [s["file"] for s in manifest["shards"]] == [USER_STATE_FILE]
+        assert sorted(p.name for p in fixture_dir.glob("state*")) == [
+            GROUP_STATE_FILE, USER_STATE_FILE,
+        ]
+        assert_states_equal(load_checkpoint(fixture_dir).state, resumed.export_state())
+
+
+def _set(doc, path, value):
+    *parents, leaf = path
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = value
+
+
+def _drop_first_slab_file(manifest):
+    del manifest["shards"][0]["file"]
+
+
+#: Manifests that parse as JSON but carry a malformed field:
+#: name -> (field named in the error, mutation).
+MALFORMED_MANIFESTS = {
+    "version-not-int": ("version", lambda m: _set(m, ["version"], "two")),
+    "slab-without-file": ("shards", _drop_first_slab_file),
+    "shards-not-list": ("shards", lambda m: _set(m, ["shards"], 5)),
+    "history-count-not-int": ("counts.history", lambda m: _set(m, ["counts", "history"], "x")),
+    "last-day-not-date": ("last_day", lambda m: _set(m, ["last_day"], "yesterday")),
+    "counter-null": (
+        "counters.days_observed",
+        lambda m: _set(m, ["counters", "days_observed"], None),
+    ),
+}
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("mutation", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_typed_corruption(tmp_path, cube, group_map, fitted, mutation):
+    stream = StreamingDetector(fitted, cube.users, group_map)
+    feed(stream, cube, 0, 10)
+    save_checkpoint(stream, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    field, mutate = MALFORMED_MANIFESTS[mutation]
+    mutate(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointCorruptionError, match="malformed checkpoint manifest") as info:
+        load_checkpoint(tmp_path / "ckpt")
+    assert str(manifest_path) in str(info.value)
+    assert f"field {field!r}" in str(info.value)
 
 
 class TestRetries:

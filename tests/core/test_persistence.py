@@ -98,6 +98,33 @@ def test_loads_model_saved_with_retired_arena_key(cube, fitted):
         np.testing.assert_array_equal(original[aspect], restored[aspect])
 
 
+def test_loads_model_saved_with_retired_shard_count(tmp_path, cube):
+    """Models saved while user sharding existed carry ``"n_shards"`` in
+    config.json; the key is dropped on load whatever its value, and the
+    model scores exactly like the committed fixture."""
+    import json
+    import shutil
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "fixtures" / "model_with_arena_key"
+    copy = Path(shutil.copytree(fixture, tmp_path / "model"))
+    payload = json.loads((copy / "config.json").read_text())
+    payload["config"]["n_shards"] = 3
+    (copy / "config.json").write_text(json.dumps(payload))
+
+    reference = load_model(fixture)
+    loaded = load_model(copy)
+    assert loaded.config == reference.config
+    for model in (reference, loaded):
+        attach_representation(model, cube, None, DAYS[:20])
+    test_days = reference.valid_anchor_days(DAYS[20:])
+    expected = reference.score(test_days)
+    produced = loaded.score(test_days)
+    assert set(produced) == set(expected)
+    for aspect in expected:
+        np.testing.assert_array_equal(produced[aspect], expected[aspect])
+
+
 def test_load_missing_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nothing")

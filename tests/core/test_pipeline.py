@@ -1,37 +1,22 @@
-"""Staged pipeline tests: shard plans, typed errors, bit-exact equivalence.
+"""Staged pipeline tests: the stages reproduce the reference math.
 
-The contract under test is the tentpole invariant of the staged
-architecture: for ANY shard count, the representation, scoring and
-critic stages produce output bit-identical to the monolithic
-(``n_shards=1``) path -- batch scores, streaming daily results, critic
-rankings, and resumed-from-checkpoint continuations alike.
+The representation stage must produce exactly
+:func:`repro.core.deviation.compute_deviations` (deviation models) and
+the train-max normalization (1-Day / Baseline models); the critic stage
+must rank exactly like :func:`repro.core.critic.investigation_list`.
 """
 
-import os
-import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.core.checkpoint import resume_streaming, save_checkpoint
-from repro.core.detector import CompoundBehaviorModel, ModelConfig
-from repro.core.deviation import DeviationConfig, deviate_against_history
-from repro.core.pipeline import (
-    DetectionPipeline,
-    InvalidShardCountError,
-    Shard,
-    ShardPlan,
-    ShardPlanError,
-    TooManyShardsError,
-    chunk_grid,
-    resolve_n_shards,
-    sharded_deviate_against_history,
-)
-from repro.core.streaming import DailyResult, StreamingDetector
+from repro.core.critic import investigation_list
+from repro.core.detector import CompoundBehaviorModel, ModelConfig, make_acobe
+from repro.core.deviation import DeviationConfig, compute_deviations
+from repro.core.pipeline import CriticStage, DetectionPipeline, RepresentationStage
+from repro.eval.experiments import CERT_SMALL
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
 from repro.nn.autoencoder import AutoencoderConfig
@@ -47,144 +32,6 @@ TINY_AE = AutoencoderConfig(
     validation_split=0.0,
     seed=1,
 )
-
-
-# ---------------------------------------------------------------------------
-# ShardPlan / resolve_n_shards unit tests (typed degenerate-config errors)
-# ---------------------------------------------------------------------------
-
-
-class TestShardPlan:
-    @pytest.mark.parametrize("n_users,n_shards", [(1, 1), (6, 3), (7, 3), (10, 8), (9, 9)])
-    def test_partition_properties(self, n_users, n_shards):
-        plan = ShardPlan.for_users(n_users, n_shards)
-        assert len(plan) == n_shards
-        assert plan[0].start == 0
-        assert plan[len(plan) - 1].stop == n_users
-        # Contiguous, non-empty, sizes differ by at most one.
-        for prev, nxt in zip(plan.shards, plan.shards[1:]):
-            assert prev.stop == nxt.start
-        sizes = [s.n_users for s in plan]
-        assert all(size >= 1 for size in sizes)
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == n_users
-
-    def test_partition_is_deterministic(self):
-        assert ShardPlan.for_users(11, 4) == ShardPlan.for_users(11, 4)
-
-    def test_shard_of_covers_every_user(self):
-        plan = ShardPlan.for_users(10, 3)
-        for u in range(10):
-            shard = plan[plan.shard_of(u)]
-            assert shard.start <= u < shard.stop
-
-    def test_shard_of_out_of_range(self):
-        plan = ShardPlan.for_users(5, 2)
-        with pytest.raises(IndexError):
-            plan.shard_of(5)
-        with pytest.raises(IndexError):
-            plan.shard_of(-1)
-
-    def test_zero_shards_is_typed_error(self):
-        with pytest.raises(InvalidShardCountError):
-            ShardPlan.for_users(5, 0)
-
-    def test_negative_shards_is_typed_error(self):
-        with pytest.raises(InvalidShardCountError):
-            ShardPlan.for_users(5, -2)
-
-    def test_more_shards_than_users_is_typed_error(self):
-        with pytest.raises(TooManyShardsError, match="at least one user"):
-            ShardPlan.for_users(3, 4)
-
-    def test_error_hierarchy(self):
-        # Both degenerate cases are ShardPlanError -> ValueError, so
-        # callers can catch broadly or precisely.
-        assert issubclass(InvalidShardCountError, ShardPlanError)
-        assert issubclass(TooManyShardsError, ShardPlanError)
-        assert issubclass(ShardPlanError, ValueError)
-
-    def test_no_users_rejected(self):
-        with pytest.raises(ValueError, match="n_users"):
-            ShardPlan.for_users(0, 1)
-
-    def test_shard_slice(self):
-        shard = Shard(index=1, start=3, stop=7)
-        assert shard.n_users == 4
-        assert shard.slice == slice(3, 7)
-
-    def test_model_config_rejects_bad_shards(self):
-        with pytest.raises(InvalidShardCountError):
-            ModelConfig(n_shards=0, autoencoder=TINY_AE)
-
-
-class TestResolveNShards:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ACOBE_SHARDS", raising=False)
-        assert resolve_n_shards(None) == 1
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("ACOBE_SHARDS", "7")
-        assert resolve_n_shards(3) == 3
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("ACOBE_SHARDS", "4")
-        assert resolve_n_shards(None) == 4
-
-    def test_bad_env_var(self, monkeypatch):
-        monkeypatch.setenv("ACOBE_SHARDS", "many")
-        with pytest.raises(InvalidShardCountError, match="not an integer"):
-            resolve_n_shards(None)
-
-    def test_nonpositive_rejected(self, monkeypatch):
-        monkeypatch.setenv("ACOBE_SHARDS", "0")
-        with pytest.raises(InvalidShardCountError):
-            resolve_n_shards(None)
-        with pytest.raises(InvalidShardCountError):
-            resolve_n_shards(-1)
-
-
-class TestChunkGrid:
-    def test_matches_monolithic_batching(self):
-        assert chunk_grid(10, 4) == [(0, 4), (4, 8), (8, 10)]
-        assert chunk_grid(4, 10) == [(0, 4)]
-        assert chunk_grid(0, 4) == []
-
-    def test_grid_independent_of_shards(self):
-        # The invariant the scoring stage's bit-exactness rests on.
-        assert chunk_grid(100, 32) == chunk_grid(100, 32)
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            chunk_grid(10, 0)
-
-
-def test_sharded_deviate_against_history_is_exact():
-    rng = np.random.default_rng(11)
-    current = rng.poisson(5.0, size=(9, 3, 2)).astype(float)
-    history = rng.poisson(5.0, size=(9, 3, 2, 6)).astype(float)
-    config = DeviationConfig(window=7)
-    reference = deviate_against_history(current, history, config)
-    for n_shards in (1, 2, 3, 5, 8, 9):
-        plan = ShardPlan.for_users(9, n_shards)
-        sigma, weights = sharded_deviate_against_history(current, history, config, plan)
-        np.testing.assert_array_equal(sigma, reference[0])
-        np.testing.assert_array_equal(weights, reference[1])
-
-
-def test_sharded_deviate_plan_mismatch_rejected():
-    config = DeviationConfig(window=7)
-    current = np.zeros((4, 2, 2))
-    history = np.zeros((4, 2, 2, 6))
-    with pytest.raises(ValueError, match="plan covers"):
-        sharded_deviate_against_history(
-            current, history, config, ShardPlan.for_users(5, 2)
-        )
-
-
-# ---------------------------------------------------------------------------
-# End-to-end equivalence: sharded == monolithic, bit for bit
-# ---------------------------------------------------------------------------
 
 N_DAYS = 26
 N_TRAIN_DAYS = 18
@@ -210,183 +57,64 @@ def build_scenario(n_users: int, seed: int = 4):
     return cube, group_map, days
 
 
-def fit(cube, group_map, days, n_shards):
+def fit(cube, group_map, days):
     model = CompoundBehaviorModel(
-        ModelConfig(window=4, matrix_days=4, critic_n=2, n_shards=n_shards,
-                    autoencoder=TINY_AE)
+        ModelConfig(window=4, matrix_days=4, critic_n=2, autoencoder=TINY_AE)
     )
     model.fit(cube, group_map, days[:N_TRAIN_DAYS])
     return model
 
 
-def run_stream(model, cube, group_map, days):
-    stream = StreamingDetector(model, cube.users, group_map)
-    results = {}
-    for d, day in enumerate(days):
-        out = stream.observe_day(day, cube.values[:, :, :, d])
-        if isinstance(out, DailyResult):
-            results[day] = out
-    return results
+def test_deviation_cube_equals_compute_deviations():
+    cube, group_map, _ = build_scenario(7)
+    config = DeviationConfig(window=4)
+    produced = RepresentationStage().deviation_cube(cube, group_map, config)
+    expected = compute_deviations(cube, group_map, config)
+    for name in ("sigma", "weights", "group_sigma", "group_weights"):
+        np.testing.assert_array_equal(getattr(produced, name), getattr(expected, name))
+    assert produced.days == expected.days
+    assert produced.groups == expected.groups
+    assert produced.group_of_user == expected.group_of_user
 
 
-def assert_streams_equal(produced, expected):
-    assert sorted(produced) == sorted(expected)
-    for day, result in produced.items():
-        reference = expected[day]
-        for aspect in reference.scores:
-            np.testing.assert_array_equal(result.scores[aspect], reference.scores[aspect])
-        assert [(e.user, e.priority, e.ranks) for e in result.investigation.entries] == [
-            (e.user, e.priority, e.ranks) for e in reference.investigation.entries
-        ]
+def test_normalized_cube_is_train_max_normalization():
+    cube, group_map, days = build_scenario(5)
+    delta = 3.0
+    produced = RepresentationStage().normalized_cube(cube, group_map, days[:10], delta)
+    maxima = np.maximum(cube.values[..., :10].max(axis=-1, keepdims=True), 1.0)
+    expected = (np.clip(cube.values / maxima, 0.0, 1.0) * 2.0 - 1.0) * delta
+    np.testing.assert_array_equal(produced.sigma, expected)
+    np.testing.assert_array_equal(produced.weights, np.ones_like(expected))
+    assert produced.days == list(cube.days)
+    assert produced.groups == ["g1", "g2"]
 
 
-@pytest.fixture(scope="module")
-def ten_user_reference():
-    cube, group_map, days = build_scenario(10)
-    model = fit(cube, group_map, days, n_shards=1)
-    anchor_days = model.valid_anchor_days(days)
-    return {
-        "cube": cube,
-        "group_map": group_map,
-        "days": days,
-        "model": model,
-        "anchor_days": anchor_days,
-        "batch": model.score(anchor_days),
-        "stream": run_stream(model, cube, group_map, days),
-        "investigation": model.investigate(anchor_days),
+def test_critic_stage_equals_investigation_list():
+    users = ["u0", "u1", "u2", "u3"]
+    arrays = {
+        "a": np.array([0.1, 0.9, 0.4, 0.3]),
+        "b": np.array([0.5, 0.2, 0.8, 0.1]),
     }
-
-
-@pytest.mark.parametrize("n_shards", [2, 3, 5, 8])
-class TestShardEquivalence:
-    """For every pinned shard count: batch, streaming and critic output
-    must be bit-identical to the monolithic n_shards=1 reference."""
-
-    def test_batch_scores_bit_identical(self, ten_user_reference, n_shards):
-        ref = ten_user_reference
-        model = fit(ref["cube"], ref["group_map"], ref["days"], n_shards)
-        assert model.shard_plan.n_users == 10 and len(model.shard_plan) == n_shards
-        batch = model.score(ref["anchor_days"])
-        assert set(batch) == set(ref["batch"])
-        for aspect in batch:
-            np.testing.assert_array_equal(batch[aspect], ref["batch"][aspect])
-
-    def test_critic_rankings_bit_identical(self, ten_user_reference, n_shards):
-        ref = ten_user_reference
-        model = fit(ref["cube"], ref["group_map"], ref["days"], n_shards)
-        produced = model.investigate(ref["anchor_days"])
-        expected = ref["investigation"]
-        assert [(e.user, e.priority, e.ranks) for e in produced.entries] == [
-            (e.user, e.priority, e.ranks) for e in expected.entries
-        ]
-
-    def test_streaming_bit_identical(self, ten_user_reference, n_shards):
-        ref = ten_user_reference
-        model = fit(ref["cube"], ref["group_map"], ref["days"], n_shards)
-        produced = run_stream(model, ref["cube"], ref["group_map"], ref["days"])
-        assert_streams_equal(produced, ref["stream"])
-
-    def test_resume_bit_identical(self, ten_user_reference, n_shards, tmp_path):
-        ref = ten_user_reference
-        model = fit(ref["cube"], ref["group_map"], ref["days"], n_shards)
-        cube, days = ref["cube"], ref["days"]
-        cut = 14
-        stream = StreamingDetector(model, cube.users, ref["group_map"])
-        results = {}
-        for d in range(cut):
-            out = stream.observe_day(days[d], cube.values[:, :, :, d])
-            if isinstance(out, DailyResult):
-                results[days[d]] = out
-        save_checkpoint(stream, tmp_path / "ckpt")
-        del stream
-
-        resumed = resume_streaming(model, tmp_path / "ckpt")
-        for d in range(cut, len(days)):
-            out = resumed.observe_day(days[d], cube.values[:, :, :, d])
-            if isinstance(out, DailyResult):
-                results[days[d]] = out
-        assert_streams_equal(results, ref["stream"])
-
-
-# ---------------------------------------------------------------------------
-# Property test: arbitrary populations and shard counts
-# ---------------------------------------------------------------------------
-
-
-@settings(
-    max_examples=6,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    n_users=st.integers(min_value=2, max_value=11),
-    n_shards=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=2**16),
-    cut=st.integers(min_value=5, max_value=N_DAYS - 2),
-)
-def test_sharded_equals_monolithic_property(n_users, n_shards, seed, cut):
-    """Sharded fit/score/critic == n_shards=1, incl. a checkpoint cut."""
-    n_shards = min(n_shards, n_users)  # plans larger than the population are rejected
-    cube, group_map, days = build_scenario(n_users, seed=seed % 97)
-
-    reference_model = fit(cube, group_map, days, n_shards=1)
-    anchor_days = reference_model.valid_anchor_days(days)
-    reference_batch = reference_model.score(anchor_days)
-    reference_stream = run_stream(reference_model, cube, group_map, days)
-
-    model = fit(cube, group_map, days, n_shards=n_shards)
-    batch = model.score(anchor_days)
-    for aspect in reference_batch:
-        np.testing.assert_array_equal(batch[aspect], reference_batch[aspect])
-
-    produced = model.investigate(anchor_days)
-    expected = reference_model.investigate(anchor_days)
-    assert [(e.user, e.priority) for e in produced.entries] == [
-        (e.user, e.priority) for e in expected.entries
+    produced = CriticStage().investigate(arrays, users, n_votes=2)
+    expected = investigation_list(
+        {aspect: dict(zip(users, map(float, arr))) for aspect, arr in arrays.items()}, 2
+    )
+    assert [(e.user, e.priority, e.ranks) for e in produced.entries] == [
+        (e.user, e.priority, e.ranks) for e in expected.entries
     ]
 
-    # Streaming with a mid-stream kill/resume at `cut`.
-    stream = StreamingDetector(model, cube.users, group_map)
-    results = {}
-    for d in range(cut):
-        out = stream.observe_day(days[d], cube.values[:, :, :, d])
-        if isinstance(out, DailyResult):
-            results[days[d]] = out
-    with tempfile.TemporaryDirectory() as scratch:
-        save_checkpoint(stream, Path(scratch) / "ckpt")
-        del stream
-        resumed = resume_streaming(model, Path(scratch) / "ckpt")
-    for d in range(cut, len(days)):
-        out = resumed.observe_day(days[d], cube.values[:, :, :, d])
-        if isinstance(out, DailyResult):
-            results[days[d]] = out
-    assert_streams_equal(results, reference_stream)
 
-
-# ---------------------------------------------------------------------------
-# Telemetry surface
-# ---------------------------------------------------------------------------
-
-
-def test_pipeline_telemetry_reports_shards():
+def test_pipeline_telemetry_spans():
     cube, group_map, days = build_scenario(6)
     telemetry = Telemetry(enabled=True)
     previous = set_telemetry(telemetry)
     try:
-        model = fit(cube, group_map, days, n_shards=3)
-        model.score(model.valid_anchor_days(days))
+        model = fit(cube, group_map, days)
         model.investigate(model.valid_anchor_days(days))
     finally:
         set_telemetry(previous)
-    snapshot = telemetry.snapshot()
-    metrics = snapshot["metrics"]
-    assert metrics["gauges"]["pipeline.shards"] == 3
-    assert metrics["histograms"]["shard.fit_seconds"]
-    assert metrics["histograms"]["shard.score_seconds"]
-    assert metrics["histograms"]["merge_seconds"]
-    span_names = {span["name"] for span in _walk_spans(snapshot["spans"])}
-    assert {"pipeline.representation", "pipeline.score", "pipeline.critic"} <= span_names
+    span_names = {span["name"] for span in _walk_spans(telemetry.snapshot()["spans"])}
+    assert {"pipeline.representation", "pipeline.critic", "detector.score"} <= span_names
 
 
 def _walk_spans(spans):
@@ -397,7 +125,19 @@ def _walk_spans(spans):
 
 def test_engine_property_exposes_pipeline():
     cube, group_map, days = build_scenario(5)
-    model = fit(cube, group_map, days, n_shards=2)
+    model = fit(cube, group_map, days)
     assert isinstance(model.engine, DetectionPipeline)
-    assert model.engine.n_shards == 2
-    assert model.shard_plan.n_users == 5
+    assert isinstance(model.engine.representation, RepresentationStage)
+    assert isinstance(model.engine.critic, CriticStage)
+
+
+def test_retired_shard_keywords_accept_only_one():
+    """``make_acobe(n_shards=)`` and ``CertBenchmarkConfig.n_shards`` stay
+    for callers written before sharding was removed; 1 is a no-op and any
+    other value is an error, never a silent fallback."""
+    assert make_acobe(n_shards=1).config == make_acobe().config
+    assert replace(CERT_SMALL, n_shards=1) == CERT_SMALL
+    with pytest.raises(ValueError, match="n_shards"):
+        make_acobe(n_shards=2)
+    with pytest.raises(ValueError, match="n_shards"):
+        replace(CERT_SMALL, n_shards=3)

@@ -69,13 +69,9 @@ def build_group_map(cube: MeasurementCube) -> dict:
     return {u: ("g1" if i < 3 else "g2") for i, u in enumerate(cube.users)}
 
 
-def fit_model(
-    cube: MeasurementCube, group_map: dict, n_shards: int = 1
-) -> CompoundBehaviorModel:
+def fit_model(cube: MeasurementCube, group_map: dict) -> CompoundBehaviorModel:
     model = CompoundBehaviorModel(
-        ModelConfig(
-            window=5, matrix_days=5, critic_n=2, n_shards=n_shards, autoencoder=TINY_AE
-        )
+        ModelConfig(window=5, matrix_days=5, critic_n=2, autoencoder=TINY_AE)
     )
     model.fit(cube, group_map, DAYS[:N_TRAIN_DAYS])
     return model

@@ -81,32 +81,6 @@ def test_batch_reproduces_golden(scenario, golden):
             ), f"batch {day}/{aspect} diverged from golden fixture"
 
 
-# The scenario has 6 users, so every admissible shard count is exercised
-# (n_shards=6 is the one-user-per-shard extreme; > 6 is rejected).
-@pytest.mark.parametrize("n_shards", [2, 3, 5, 6])
-def test_sharded_streaming_reproduces_golden(golden, n_shards):
-    """The staged pipeline is bit-identical to the golden monolithic run."""
-    cube = build_cube()
-    group_map = build_group_map(cube)
-    model = fit_model(cube, group_map, n_shards=n_shards)
-    assert_matches_golden(run_streaming(model, cube, group_map), golden)
-
-
-@pytest.mark.parametrize("n_shards", [2, 5])
-def test_sharded_batch_reproduces_golden(golden, n_shards):
-    cube = build_cube()
-    group_map = build_group_map(cube)
-    model = fit_model(cube, group_map, n_shards=n_shards)
-    anchor_days = model.valid_anchor_days(DAYS)
-    batch = model.score(anchor_days)
-    by_day = {doc["day"]: doc for doc in golden["days"]}
-    for j, day in enumerate(anchor_days):
-        for aspect, arr in batch.items():
-            assert np.array_equal(
-                arr[:, j], by_day[day.isoformat()]["scores"][aspect]
-            ), f"sharded batch {day}/{aspect} diverged from golden fixture"
-
-
 @pytest.mark.parametrize("cut", [10, 20])
 def test_resumed_streaming_reproduces_golden(scenario, golden, tmp_path, cut):
     """Kill the stream after ``cut`` days, resume from disk, finish."""

@@ -81,8 +81,14 @@ class TestResolveNJobs:
         assert resolve_n_jobs(None, 4) == 1
         assert resolve_n_jobs(1, 4) == 1
 
-    def test_clamped_to_tasks(self):
+    def test_clamped_to_tasks(self, monkeypatch):
+        monkeypatch.setattr(par, "usable_cores", lambda: 64)
         assert resolve_n_jobs(8, 3) == 3
+
+    def test_clamped_to_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(par, "usable_cores", lambda: 2)
+        assert resolve_n_jobs(8, 6) == 2
+        assert resolve_n_jobs(0, 6) == 2
 
     def test_all_cores(self):
         assert resolve_n_jobs(0, 64) >= 1
@@ -188,6 +194,31 @@ class TestFallbacks:
         tasks = make_tasks(2)
         trained = train_ensemble(tasks, n_jobs=2)
         assert all(m.autoencoder.fitted for m in trained.values())
+
+
+class TestOneCore:
+    def test_one_usable_core_trains_serially(self, monkeypatch):
+        """``n_jobs=4`` on a one-core host forks nothing: the ensemble
+        span reports the serial path and results match ``n_jobs=1``."""
+        from repro.obs import Telemetry, set_telemetry
+
+        monkeypatch.setattr(par, "usable_cores", lambda: 1)
+        tasks = make_tasks(3)
+        telemetry = Telemetry(enabled=True)
+        previous = set_telemetry(telemetry)
+        try:
+            trained = train_ensemble(tasks, n_jobs=4)
+        finally:
+            set_telemetry(previous)
+        span = telemetry.find_span("parallel.train_ensemble")
+        assert span.attributes["mode"] == "serial"
+        assert span.attributes["n_jobs"] == 1
+        reference = train_ensemble(tasks, n_jobs=1)
+        for task in tasks:
+            np.testing.assert_array_equal(
+                trained[task.name].autoencoder.reconstruction_error(task.data),
+                reference[task.name].autoencoder.reconstruction_error(task.data),
+            )
 
 
 class TestWeightTransport:
