@@ -10,12 +10,12 @@ first reaches rank 1.
 import pytest
 
 from benchmarks.conftest import save_result
+from repro.core.critic import investigation_from_arrays
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.eval.experiments import (
     ModelRun,
     build_case_study,
     case_study_config,
-    model_investigation_for_day,
     run_case_study,
 )
 from repro.eval.reporting import format_table
@@ -46,11 +46,8 @@ def run_with_cube(benchmark_data, cube):
     users = model.users
     daily_rank = {}
     for j, day in enumerate(anchors):
-        aspect_scores = {
-            aspect: {u: float(arr[i, j]) for i, u in enumerate(users)}
-            for aspect, arr in scores.items()
-        }
-        inv = model_investigation_for_day(aspect_scores, cfg.critic_n)
+        day_scores = {aspect: arr[:, j] for aspect, arr in scores.items()}
+        inv = investigation_from_arrays(day_scores, users, cfg.critic_n)
         daily_rank[day] = inv.position_of(benchmark_data.victim)
     return daily_rank
 

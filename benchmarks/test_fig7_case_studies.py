@@ -68,12 +68,7 @@ def test_fig7_case_study(benchmark, case_result):
     assert max(after) > max(before), "config aspect did not rise at the attack"
 
     # Benchmark: one day's critic pass over the full population.
-    from repro.eval.experiments import model_investigation_for_day
+    from repro.core.critic import investigation_from_arrays
 
-    users = run.users
-    last = len(run.test_days) - 1
-    aspect_scores = {
-        aspect: {u: float(arr[i, last]) for i, u in enumerate(users)}
-        for aspect, arr in run.scores.items()
-    }
-    benchmark(model_investigation_for_day, aspect_scores, cfg.critic_n)
+    last_day = {aspect: arr[:, -1] for aspect, arr in run.scores.items()}
+    benchmark(investigation_from_arrays, last_day, run.users, cfg.critic_n)

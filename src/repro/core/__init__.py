@@ -6,11 +6,10 @@
 * :mod:`repro.core.representation` -- the unified representation
   pipeline: the combined weighted/normalized value array computed once,
   exposed as zero-copy :class:`~repro.core.representation.MatrixView`
-  row sources shared by batch training, scoring and streaming.
-* :mod:`repro.core.matrix` -- compound behavioral deviation matrices:
-  individual + group blocks across time-frames and a multi-day window,
-  flattened and mapped to [0, 1] (now a thin eager wrapper over the
-  representation pipeline).
+  row sources shared by batch training, scoring and streaming; a view
+  is the compound behavioral deviation matrix of Figure 2 (individual +
+  group blocks across time-frames and a multi-day window, flattened and
+  mapped to [0, 1]).
 * :mod:`repro.core.critic` -- the anomaly detection critic
   (Algorithm 1): N-th-best-rank voting and the ordered investigation
   list.
@@ -20,9 +19,12 @@
 * :mod:`repro.core.checkpoint` -- durable streaming: atomic,
   checksummed checkpoint/resume of :class:`StreamingDetector` state
   with bit-identical continuation.
-* :mod:`repro.core.pipeline` -- the staged detection pipeline
-  (representation -> scoring -> critic), one execution path over all
-  users.
+
+Detection is three direct calls, one execution path over all users:
+:func:`~repro.core.deviation.compute_deviations` (or
+:func:`~repro.core.deviation.normalized_deviations`), the autoencoders'
+``reconstruction_error``, then
+:func:`~repro.core.critic.investigation_from_arrays`.
 """
 
 from repro.core.checkpoint import (
@@ -35,7 +37,13 @@ from repro.core.checkpoint import (
     resume_streaming,
     save_checkpoint,
 )
-from repro.core.critic import InvestigationList, investigation_list, rank_users, rank_votes
+from repro.core.critic import (
+    InvestigationList,
+    investigation_from_arrays,
+    investigation_list,
+    rank_users,
+    rank_votes,
+)
 from repro.core.critic_advanced import AdvancedCritic, classify_waveform, spike_score
 from repro.core.persistence import (
     PersistenceError,
@@ -67,9 +75,8 @@ from repro.core.deviation import (
     deviate_against_history,
     feature_weights,
     group_means,
+    normalized_deviations,
 )
-from repro.core.matrix import CompoundMatrices, build_compound_matrices
-from repro.core.pipeline import CriticStage, DetectionPipeline, RepresentationStage
 from repro.core.representation import (
     MatrixView,
     RepresentationPipeline,
@@ -99,23 +106,19 @@ __all__ = [
     "save_checkpoint",
     "save_model",
     "spike_score",
-    "CompoundMatrices",
-    "CriticStage",
-    "DetectionPipeline",
     "DeviationConfig",
     "DeviationCube",
     "InvestigationList",
     "MatrixView",
     "ModelConfig",
     "RepresentationPipeline",
-    "RepresentationStage",
     "aspect_rows",
-    "build_compound_matrices",
     "compound_values",
     "compute_deviations",
     "deviate_against_history",
     "feature_weights",
     "group_means",
+    "investigation_from_arrays",
     "investigation_list",
     "make_acobe",
     "make_all_in_one",
@@ -123,6 +126,7 @@ __all__ = [
     "make_baseline",
     "make_no_group",
     "make_one_day",
+    "normalized_deviations",
     "rank_users",
     "rank_votes",
 ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 
 def rank_users(scores: Mapping[str, float]) -> Dict[str, int]:
     """1-based competition ranks by descending anomaly score.
@@ -155,3 +157,24 @@ def investigation_list(
     return InvestigationList(
         entries=entries, n_votes=n_votes, aspect_names=tuple(aspect_scores.keys())
     )
+
+
+def investigation_from_arrays(
+    aspect_arrays: Mapping[str, np.ndarray],
+    users: Sequence[str],
+    n_votes: int,
+) -> InvestigationList:
+    """:func:`investigation_list` over score arrays aligned with ``users``.
+
+    Args:
+        aspect_arrays: aspect name -> ``(n_users,)`` anomaly scores, one
+            entry per user in ``users`` order (e.g. one day's column of
+            :meth:`~repro.core.detector.CompoundBehaviorModel.score`).
+        users: the user ids the arrays are indexed by.
+        n_votes: the critic's N.
+    """
+    aspect_scores = {
+        aspect: {user: float(array[i]) for i, user in enumerate(users)}
+        for aspect, array in aspect_arrays.items()
+    }
+    return investigation_list(aspect_scores, n_votes)

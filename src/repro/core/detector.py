@@ -31,9 +31,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.critic import InvestigationList
-from repro.core.deviation import DeviationConfig, DeviationCube
-from repro.core.pipeline import DetectionPipeline
+from repro.core.critic import InvestigationList, investigation_from_arrays
+from repro.core.deviation import (
+    DeviationConfig,
+    DeviationCube,
+    compute_deviations,
+    normalized_deviations,
+)
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -87,7 +91,6 @@ class CompoundBehaviorModel:
         self.config = config
         self._deviations: Optional[DeviationCube] = None
         self._pipeline: Optional[RepresentationPipeline] = None
-        self._engine: Optional[DetectionPipeline] = None
         self._aspects: List[AspectSpec] = []
         self._autoencoders: Dict[str, Autoencoder] = {}
         self._histories: Dict[str, TrainingHistory] = {}
@@ -229,9 +232,11 @@ class CompoundBehaviorModel:
                 name: (array.max(axis=1) if reduce == "max" else array.mean(axis=1))
                 for name, array in scores.items()
             }
-            return self._engine.critic.investigate(
-                reduced, self._deviations.users, n_votes or self.config.critic_n
-            )
+            users = self._deviations.users
+            with telemetry.span("pipeline.critic", aspects=len(reduced), users=len(users)):
+                return investigation_from_arrays(
+                    reduced, users, n_votes or self.config.critic_n
+                )
 
     def valid_anchor_days(self, days: Sequence[date]) -> List[date]:
         """The subset of ``days`` with enough history for a matrix."""
@@ -256,12 +261,6 @@ class CompoundBehaviorModel:
         self._require_representation()
         return self._pipeline
 
-    @property
-    def engine(self) -> DetectionPipeline:
-        """The staged execution engine built at fit time."""
-        self._require_representation()
-        return self._engine
-
     # ------------------------------------------------------------------
     def _prepare_representation(
         self,
@@ -269,15 +268,13 @@ class CompoundBehaviorModel:
         group_map: Optional[Mapping[str, str]],
         train_days: Sequence[date],
     ) -> None:
-        """Build the engine, deviations, value pipeline and aspect list.
+        """Build the deviations, value pipeline and aspect list.
 
-        The :class:`~repro.core.pipeline.RepresentationStage` computes
-        the behavioural representation, and the value pipeline combines
-        the weighted/normalized arrays exactly once for
-        ``score``/``investigate`` and every per-aspect view.
+        The value pipeline combines the weighted/normalized arrays
+        exactly once for ``score``/``investigate`` and every per-aspect
+        view.
         """
         cfg = self.config
-        self._engine = DetectionPipeline()
         self._deviations = self._build_representation(cube, dict(group_map or {}), train_days)
         self._aspects = self._resolve_aspects(cube.feature_set)
         self._pipeline = RepresentationPipeline.from_deviations(
@@ -295,11 +292,17 @@ class CompoundBehaviorModel:
         cfg = self.config
         if not group_map:
             group_map = {u: "all" for u in cube.users}
-        stage = self._engine.representation
-        if cfg.representation == "deviation":
-            dev_config = DeviationConfig(window=cfg.window, delta=cfg.delta, epsilon=cfg.epsilon)
-            return stage.deviation_cube(cube, group_map, dev_config)
-        return stage.normalized_cube(cube, group_map, train_days, cfg.delta)
+        with get_telemetry().span("pipeline.representation", users=len(cube.users)) as span:
+            if cfg.representation == "deviation":
+                dev_config = DeviationConfig(
+                    window=cfg.window, delta=cfg.delta, epsilon=cfg.epsilon
+                )
+                deviations = compute_deviations(cube, group_map, dev_config)
+                span.annotate(days=len(deviations.days), groups=len(deviations.groups))
+            else:
+                span.annotate(representation="normalized")
+                deviations = normalized_deviations(cube, group_map, train_days, cfg.delta)
+        return deviations
 
     def _resolve_aspects(self, feature_set: FeatureSet) -> List[AspectSpec]:
         if not self.config.all_in_one:

@@ -18,7 +18,9 @@ Figure 4), and the weight is bounded to 1 so static features cannot
 explode.
 
 All functions operate on arrays whose *last axis is days* and are fully
-vectorized with sliding windows.
+vectorized with sliding windows.  The 1-Day / Baseline models use
+:func:`normalized_deviations` -- a train-max normalization -- in place of
+:func:`compute_deviations`; both return a :class:`DeviationCube`.
 """
 
 from __future__ import annotations
@@ -253,6 +255,13 @@ class DeviationCube:
             raise KeyError(f"unknown user {user!r}") from None
 
 
+def _assign_groups(users: Sequence[str], group_map: dict) -> Tuple[List[str], List[int]]:
+    """The sorted group names and each user's index into them."""
+    groups = sorted({group_map[u] for u in users})
+    group_index = {g: i for i, g in enumerate(groups)}
+    return groups, [group_index[group_map[u]] for u in users]
+
+
 def compute_deviations(
     cube: MeasurementCube,
     group_map: Optional[dict] = None,
@@ -278,10 +287,7 @@ def compute_deviations(
     sigma, weights = deviation_series(cube.values, config)
     days = list(cube.days[config.history_days :])
 
-    groups = sorted({group_map[u] for u in cube.users})
-    group_index = {g: i for i, g in enumerate(groups)}
-    group_of_user = [group_index[group_map[u]] for u in cube.users]
-
+    groups, group_of_user = _assign_groups(cube.users, group_map)
     group_values = group_means(cube.values, group_of_user, len(groups))
     group_sigma, group_weights = deviation_series(group_values, config)
 
@@ -297,4 +303,56 @@ def compute_deviations(
         group_of_user=group_of_user,
         group_sigma=group_sigma,
         group_weights=group_weights,
+    )
+
+
+def _train_max_normalize(
+    values: np.ndarray, train_idx: Tuple[int, ...], delta: float
+) -> np.ndarray:
+    """Train-max normalization of each series, mapped onto ``[-delta, delta]``."""
+    maxima = values[..., list(train_idx)].max(axis=-1, keepdims=True)
+    maxima = np.maximum(maxima, 1.0)
+    normalized = np.clip(values / maxima, 0.0, 1.0)
+    return (normalized * 2.0 - 1.0) * delta
+
+
+def normalized_deviations(
+    cube: MeasurementCube,
+    group_map: dict,
+    train_days: Sequence[date],
+    delta: float,
+) -> DeviationCube:
+    """Min-max normalized representation (1-Day / Baseline models).
+
+    Each (user, feature, time-frame) series normalizes against its own
+    training-day maximum; the group block normalizes the same way from
+    the group-mean series.  No history is consumed, so every cube day
+    stays addressable.
+    """
+    train_set = set(train_days)
+    train_idx = tuple(i for i, d in enumerate(cube.days) if d in train_set)
+    if not train_idx:
+        raise ValueError("train_days do not overlap the measurement cube")
+
+    sigma = _train_max_normalize(cube.values, train_idx, delta)
+
+    groups, group_of_user = _assign_groups(cube.users, group_map)
+    group_values = group_means(cube.values, group_of_user, len(groups))
+    group_sigma = _train_max_normalize(group_values, train_idx, delta)
+
+    # window=2 is a placeholder: no history is consumed in this
+    # representation.
+    config = DeviationConfig(window=2, delta=delta)
+    return DeviationCube(
+        sigma=sigma,
+        weights=np.ones_like(sigma),
+        users=list(cube.users),
+        feature_set=cube.feature_set,
+        timeframes=cube.timeframes,
+        days=list(cube.days),
+        config=config,
+        groups=groups,
+        group_of_user=group_of_user,
+        group_sigma=group_sigma,
+        group_weights=np.ones_like(group_sigma),
     )

@@ -19,7 +19,7 @@ Layering::
     MeasurementCube --> DeviationCube --> RepresentationPipeline --> MatrixView
                         (repro.core.deviation)   (this module)        |
                                                                       +-- batches()/rows(): nn training + scoring
-                                                                      +-- materialize(): CompoundMatrices compat
+                                                                      +-- materialize(): dense tensor (inspection)
 
 Batch (:mod:`repro.core.detector`), streaming
 (:mod:`repro.core.streaming` via :func:`compound_values` /
@@ -114,13 +114,11 @@ class MatrixView:
     user ``u`` anchored at ``anchor_days[a]`` -- but nothing is stored
     per anchor: every matrix is read on demand out of the shared value
     array through a ``sliding_window_view``.  Flattened vectors are
-    bit-identical to the materialized
-    :func:`repro.core.matrix.build_compound_matrices` path (pinned by
+    bit-identical to the seed's eager matrix builder (pinned by
     ``tests/core/test_representation.py``).
 
     The view is a *row source* over the pooled ``(user, anchor)`` grid in
-    C order (user-major), matching
-    :meth:`repro.core.matrix.CompoundMatrices.training_set`:
+    C order (user-major), matching ``materialize().reshape(-1, dim)``:
 
     * ``len(view)`` -- pooled sample count ``n_users * n_anchors``.
     * ``view.dim`` -- flattened width ``rows * T * matrix_days``.
@@ -209,14 +207,13 @@ class MatrixView:
         w = self._window_starts[anchor_index]
         return self._windows[:, :, :, w, :].reshape(self.n_users, self.dim)
 
-    # -- materialization (compat) ---------------------------------------
+    # -- materialization -------------------------------------------------
     def materialize(self) -> np.ndarray:
         """The full dense tensor ``(n_users, n_anchors, dim)``.
 
         This is the one deliberately memory-amplifying operation --
-        ``matrix_days``x the base array -- kept for the
-        :class:`repro.core.matrix.CompoundMatrices` compatibility wrapper
-        and small-scale inspection.
+        ``matrix_days``x the base array -- kept for small-scale
+        inspection (e.g. displaying one Figure 2 matrix).
         """
         out = np.empty((self.n_users, self.n_anchors, self.dim))
         for a in range(self.n_anchors):

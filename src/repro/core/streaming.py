@@ -51,10 +51,9 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.critic import InvestigationList
+from repro.core.critic import InvestigationList, investigation_from_arrays
 from repro.core.detector import CompoundBehaviorModel
 from repro.core.deviation import DeviationConfig, deviate_against_history, group_means
-from repro.core.pipeline import CriticStage
 from repro.core.representation import aspect_rows, compound_values
 from repro.obs import get_telemetry
 
@@ -207,7 +206,6 @@ class StreamingDetector:
         self._dev_config = DeviationConfig(
             window=cfg.window, delta=cfg.delta, epsilon=cfg.epsilon
         )
-        self._critic = CriticStage()
         self._history: Deque[np.ndarray] = deque(maxlen=cfg.window - 1)
         self._sigma_buffer: Deque[Tuple[np.ndarray, np.ndarray]] = deque(maxlen=cfg.matrix_days)
         self._group_sigma_buffer: Deque[Tuple[np.ndarray, np.ndarray]] = deque(
@@ -574,10 +572,14 @@ class StreamingDetector:
             autoencoder = self.model.autoencoder(aspect)
             scores[aspect] = autoencoder.reconstruction_error(vectors)
 
+        with get_telemetry().span(
+            "pipeline.critic", aspects=len(scores), users=len(self.users)
+        ):
+            investigation = investigation_from_arrays(scores, self.users, cfg.critic_n)
         return DailyResult(
             day=day,
             scores=scores,
-            investigation=self._critic.investigate(scores, self.users, cfg.critic_n),
+            investigation=investigation,
             score_summary={
                 aspect: ScoreSummary.from_scores(arr) for aspect, arr in scores.items()
             },

@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.critic import InvestigationList
+from repro.core.critic import InvestigationList, investigation_from_arrays
 from repro.core.detector import CompoundBehaviorModel
 from repro.datagen.attacks import AttackInjection, inject_wannacry, inject_zeus
 from repro.datagen.calendar import SimulationCalendar
@@ -403,17 +403,12 @@ def daily_min_priorities(run: ModelRun, n_votes: int) -> Dict[str, int]:
     priority a user must rank high in ``n_votes`` aspects on the *same*
     day, which uncorrelated noise rarely does.
     """
-    from repro.core.critic import investigation_list
-
     users = run.users
     n_votes = min(n_votes, len(run.scores))  # e.g. All-in-1 has one aspect
     best: Dict[str, int] = {u: len(users) + 1 for u in users}
     for j, _day in enumerate(run.test_days):
-        aspect_scores = {
-            aspect: {u: float(arr[i, j]) for i, u in enumerate(users)}
-            for aspect, arr in run.scores.items()
-        }
-        daily = investigation_list(aspect_scores, n_votes)
+        day_scores = {aspect: arr[:, j] for aspect, arr in run.scores.items()}
+        daily = investigation_from_arrays(day_scores, users, n_votes)
         for entry in daily.entries:
             if entry.priority < best[entry.user]:
                 best[entry.user] = entry.priority
@@ -648,19 +643,7 @@ def run_case_study(
     daily_rank: Dict[date, int] = {}
     users = model.users
     for j, day in enumerate(test_anchors):
-        aspect_scores = {
-            aspect: {user: float(array[i, j]) for i, user in enumerate(users)}
-            for aspect, array in scores.items()
-        }
-        daily = model_investigation_for_day(aspect_scores, cfg.critic_n)
+        day_scores = {aspect: array[:, j] for aspect, array in scores.items()}
+        daily = investigation_from_arrays(day_scores, users, cfg.critic_n)
         daily_rank[day] = daily.position_of(benchmark.victim)
     return CaseStudyRun(benchmark=benchmark, run=run, daily_rank=daily_rank)
-
-
-def model_investigation_for_day(
-    aspect_scores: Mapping[str, Mapping[str, float]], n_votes: int
-) -> InvestigationList:
-    """A single day's investigation list (used for daily-rank tracking)."""
-    from repro.core.critic import investigation_list
-
-    return investigation_list(aspect_scores, n_votes)

@@ -227,6 +227,11 @@ class Ingestor:
         self.events_late = 0
         self.events_duplicate = 0
         self.days_sealed = 0
+        # Registered at zero so a run report always carries them, also
+        # when no delivery was late or duplicated.
+        telemetry = get_telemetry()
+        for name in ("events", "events_late", "events_duplicate", "days_sealed"):
+            telemetry.counter(f"ingest.{name}")
         # Monitoring-plane attachments; both optional, both observational.
         self._exporter = None
         self._quality_monitor = None

@@ -1,5 +1,6 @@
 """Anomaly-detection-critic tests (Algorithm 1), with hypothesis properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.critic import (
     InvestigationEntry,
     InvestigationList,
+    investigation_from_arrays,
     investigation_list,
     nth_best_rank,
     rank_users,
@@ -143,3 +145,19 @@ class TestInvestigationList:
         assert sorted(inv.users()) == users
         priorities = [e.priority for e in inv.entries]
         assert priorities == sorted(priorities)
+
+
+def test_investigation_from_arrays_equals_investigation_list():
+    users = ["u0", "u1", "u2", "u3"]
+    arrays = {
+        "a": np.array([0.1, 0.9, 0.4, 0.3]),
+        "b": np.array([0.5, 0.2, 0.8, 0.1]),
+    }
+    produced = investigation_from_arrays(arrays, users, n_votes=2)
+    expected = investigation_list(
+        {aspect: dict(zip(users, map(float, arr))) for aspect, arr in arrays.items()}, 2
+    )
+    assert [(e.user, e.priority, e.ranks) for e in produced.entries] == [
+        (e.user, e.priority, e.ranks) for e in expected.entries
+    ]
+    assert produced.aspect_names == ("a", "b")

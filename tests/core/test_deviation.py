@@ -14,6 +14,7 @@ from repro.core.deviation import (
     deviation_series,
     feature_weights,
     normalize_to_unit,
+    normalized_deviations,
     sliding_history_stats,
 )
 from repro.features.measurements import MeasurementCube
@@ -203,3 +204,18 @@ class TestComputeDeviations:
         assert dev.user_index("u1") == 1
         with pytest.raises(KeyError):
             dev.user_index("nope")
+
+
+def test_normalized_deviations_is_train_max_normalization():
+    cube = make_cube(n_users=5)
+    group_map = {u: ("g1" if i < 2 else "g2") for i, u in enumerate(cube.users)}
+    delta = 3.0
+    produced = normalized_deviations(cube, group_map, cube.days[:10], delta)
+    maxima = np.maximum(cube.values[..., :10].max(axis=-1, keepdims=True), 1.0)
+    expected = (np.clip(cube.values / maxima, 0.0, 1.0) * 2.0 - 1.0) * delta
+    np.testing.assert_array_equal(produced.sigma, expected)
+    np.testing.assert_array_equal(produced.weights, np.ones_like(expected))
+    assert produced.days == list(cube.days)
+    assert produced.groups == ["g1", "g2"]
+    with pytest.raises(ValueError, match="do not overlap"):
+        normalized_deviations(cube, group_map, [date(2031, 1, 1)], delta)

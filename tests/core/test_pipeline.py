@@ -1,9 +1,8 @@
-"""Staged pipeline tests: the stages reproduce the reference math.
+"""Detection-pipeline tests: representation -> autoencoders -> critic.
 
-The representation stage must produce exactly
-:func:`repro.core.deviation.compute_deviations` (deviation models) and
-the train-max normalization (1-Day / Baseline models); the critic stage
-must rank exactly like :func:`repro.core.critic.investigation_list`.
+The detector's representation must be exactly
+:func:`repro.core.deviation.compute_deviations`, and each step records
+its ``pipeline.*`` telemetry span.
 """
 
 from dataclasses import replace
@@ -12,10 +11,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from repro.core.critic import investigation_list
 from repro.core.detector import CompoundBehaviorModel, ModelConfig, make_acobe
 from repro.core.deviation import DeviationConfig, compute_deviations
-from repro.core.pipeline import CriticStage, DetectionPipeline, RepresentationStage
 from repro.eval.experiments import CERT_SMALL
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -66,42 +63,16 @@ def fit(cube, group_map, days):
 
 
 def test_deviation_cube_equals_compute_deviations():
-    cube, group_map, _ = build_scenario(7)
-    config = DeviationConfig(window=4)
-    produced = RepresentationStage().deviation_cube(cube, group_map, config)
-    expected = compute_deviations(cube, group_map, config)
+    """The detector's representation is exactly ``compute_deviations``."""
+    cube, group_map, days = build_scenario(7)
+    model = fit(cube, group_map, days)
+    expected = compute_deviations(cube, group_map, DeviationConfig(window=4))
+    produced = model.deviations
     for name in ("sigma", "weights", "group_sigma", "group_weights"):
         np.testing.assert_array_equal(getattr(produced, name), getattr(expected, name))
     assert produced.days == expected.days
     assert produced.groups == expected.groups
     assert produced.group_of_user == expected.group_of_user
-
-
-def test_normalized_cube_is_train_max_normalization():
-    cube, group_map, days = build_scenario(5)
-    delta = 3.0
-    produced = RepresentationStage().normalized_cube(cube, group_map, days[:10], delta)
-    maxima = np.maximum(cube.values[..., :10].max(axis=-1, keepdims=True), 1.0)
-    expected = (np.clip(cube.values / maxima, 0.0, 1.0) * 2.0 - 1.0) * delta
-    np.testing.assert_array_equal(produced.sigma, expected)
-    np.testing.assert_array_equal(produced.weights, np.ones_like(expected))
-    assert produced.days == list(cube.days)
-    assert produced.groups == ["g1", "g2"]
-
-
-def test_critic_stage_equals_investigation_list():
-    users = ["u0", "u1", "u2", "u3"]
-    arrays = {
-        "a": np.array([0.1, 0.9, 0.4, 0.3]),
-        "b": np.array([0.5, 0.2, 0.8, 0.1]),
-    }
-    produced = CriticStage().investigate(arrays, users, n_votes=2)
-    expected = investigation_list(
-        {aspect: dict(zip(users, map(float, arr))) for aspect, arr in arrays.items()}, 2
-    )
-    assert [(e.user, e.priority, e.ranks) for e in produced.entries] == [
-        (e.user, e.priority, e.ranks) for e in expected.entries
-    ]
 
 
 def test_pipeline_telemetry_spans():
@@ -121,14 +92,6 @@ def _walk_spans(spans):
     for span in spans:
         yield span
         yield from _walk_spans(span.get("children", []))
-
-
-def test_engine_property_exposes_pipeline():
-    cube, group_map, days = build_scenario(5)
-    model = fit(cube, group_map, days)
-    assert isinstance(model.engine, DetectionPipeline)
-    assert isinstance(model.engine.representation, RepresentationStage)
-    assert isinstance(model.engine.critic, CriticStage)
 
 
 def test_retired_shard_keywords_accept_only_one():

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.core.deviation import DeviationConfig, compute_deviations
-from repro.core.matrix import build_compound_matrices
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -110,28 +109,6 @@ def test_view_is_bit_identical_to_seed_algorithm(
 
     perm = np.random.default_rng(seed).permutation(len(view))
     np.testing.assert_array_equal(view.rows(perm), flat[perm])
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    matrix_days=st.integers(min_value=1, max_value=5),
-    include_group=st.booleans(),
-    apply_weights=st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_compat_wrapper_matches_seed_algorithm(seed, matrix_days, include_group, apply_weights):
-    """build_compound_matrices (now a shim over the pipeline) stays bit-exact."""
-    dev = make_deviations(seed)
-    anchors = dev.days[matrix_days - 1 :]
-    mats = build_compound_matrices(
-        dev,
-        anchors,
-        matrix_days=matrix_days,
-        include_group=include_group,
-        apply_weights=apply_weights,
-    )
-    ref = reference_vectors(dev, anchors, matrix_days, include_group, apply_weights, range(3))
-    np.testing.assert_array_equal(mats.vectors, ref)
 
 
 class TestViewShape:

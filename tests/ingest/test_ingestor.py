@@ -222,6 +222,22 @@ class TestTelemetry:
         finally:
             set_telemetry(Telemetry(enabled=False))
 
+    def test_counters_reported_at_zero(self):
+        # A clean feed still reports its late/duplicate counters (as 0),
+        # so run-report consumers can read them unconditionally.
+        telemetry = Telemetry(enabled=True)
+        set_telemetry(telemetry)
+        try:
+            ingestor = make_ingestor()
+            ingestor.push(connect(0), "r1")
+            counters = telemetry.metrics.snapshot()["counters"]
+            assert counters["ingest.events_late"] == 0
+            assert counters["ingest.events_duplicate"] == 0
+            assert counters["ingest.days_sealed"] == 0
+            assert counters["ingest.events"] == 1
+        finally:
+            set_telemetry(Telemetry(enabled=False))
+
 
 class TestDetectorMismatch:
     def test_user_axis_must_match(self):

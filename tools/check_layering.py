@@ -7,7 +7,7 @@ keep pointing one way::
     utils / logs / obs          (foundations: import nothing above)
       ^ datagen  ^ nn           (nn knows obs, never the domain)
       ^ features
-      ^ core                    (core.pipeline et al.: never eval/cli)
+      ^ core                    (detector, streaming et al.: never eval/cli)
       ^ ingest                  (event-time ingestion over features+core)
       ^ eval
       ^ cli                     (the outermost shell)
