@@ -6,9 +6,11 @@ over the workspace arena) and once through the allocating reference
 implementation in ``tests/nn/reference.py`` -- verifies the two runs are
 bit-identical, and records both wall-clock times, the throughput ratio
 and the arena telemetry to ``benchmarks/results/nn_kernels.txt`` plus
-the machine-readable ``benchmarks/results/BENCH_nn_kernels.json``.  The
-metric keys keep their names: ``legacy_seconds`` times the reference
-oracle, ``arena_seconds`` the kernels.
+the machine-readable ``benchmarks/results/BENCH_nn_kernels.json``, whose
+``meta`` names the host (cores, Python, numpy): compare its timings only
+with runs from the same host.  The metric keys keep their names:
+``legacy_seconds`` times the reference oracle, ``arena_seconds`` the
+kernels.
 
 The >= 1.8x speedup assertion only runs on machines with at least four
 CPU cores -- single-core containers are dominated by BLAS time where
@@ -17,6 +19,7 @@ without failing (same policy as ``test_parallel_speedup``).
 """
 
 import os
+import platform
 import time
 
 import numpy as np
@@ -83,12 +86,12 @@ def test_nn_kernel_speedup_and_parity():
         "Arena-kernel training throughput (Sequential.fit)",
         f"architecture={'x'.join(map(str, ENCODER_UNITS))} (mirrored)  "
         f"samples={N_SAMPLES}  dim={DIM}  epochs={EPOCHS}  batch={BATCH_SIZE}",
-        f"cpu_cores={cores}",
+        f"cpu_cores={cores}  python={platform.python_version()}  numpy={np.__version__}",
         f"legacy (reference oracle, tests/nn/reference.py): {legacy_s:8.2f} s",
         f"arena  (workspace kernels):                       {arena_s:8.2f} s",
         f"speedup: {speedup:.2f}x",
         "note: legacy_seconds in BENCH_nn_kernels.json times the reference oracle",
-        f"arena: hit_rate={stats.hit_rate:.3f}  buffers={stats.buffers}  "
+        f"arena: misses={stats.misses}  buffers={stats.buffers}  "
         f"peak_bytes={stats.peak_bytes}",
     ]
 
@@ -104,7 +107,7 @@ def test_nn_kernel_speedup_and_parity():
             "legacy_seconds": legacy_s,
             "arena_seconds": arena_s,
             "speedup": speedup,
-            "arena_hit_rate": stats.hit_rate,
+            "arena_misses": stats.misses,
             "arena_peak_bytes": stats.peak_bytes,
             "parity": True,
         },
@@ -118,7 +121,11 @@ def test_nn_kernel_speedup_and_parity():
             "steps": steps,
             "speedup_floor": SPEEDUP_FLOOR,
         },
-        meta={"cpu_cores": cores},
+        meta={
+            "cpu_cores": cores,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
     )
 
     if cores < 4:

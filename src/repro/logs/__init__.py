@@ -1,5 +1,6 @@
 """Log-event schemas, storage and CERT-style CSV I/O."""
 
+from repro.logs.csvio import LogParseError
 from repro.logs.schema import (
     DeviceEvent,
     DnsEvent,
@@ -22,6 +23,7 @@ __all__ = [
     "Event",
     "FileEvent",
     "HttpEvent",
+    "LogParseError",
     "LogStore",
     "LogonEvent",
     "ProxyEvent",

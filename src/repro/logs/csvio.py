@@ -13,7 +13,7 @@ import csv
 from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 from repro.logs.schema import EVENT_TYPES, Event, event_to_row
 from repro.logs.store import LogStore
@@ -27,6 +27,24 @@ _INT_FIELDS = {
     "bytes_out",
     "bytes_in",
 }
+
+
+class LogParseError(ValueError):
+    """A CSV row that does not convert to an event.
+
+    ``path`` and ``line`` (1-based, the header is line 1) locate the row;
+    ``field`` names the first column whose value does not convert, or is
+    None when every value converts but the event itself is invalid (for
+    example an unknown activity).
+    """
+
+    def __init__(self, path: Union[str, Path], line: int, field: Optional[str],
+                 reason: str = ""):
+        self.path = Path(path)
+        self.line = line
+        self.field = field
+        where = f"field {field!r}" if field is not None else "row"
+        super().__init__(f"{self.path}, line {line}, {where}: {reason}")
 
 
 def write_store(store: LogStore, directory: Union[str, Path]) -> Dict[str, Path]:
@@ -57,7 +75,11 @@ def write_store(store: LogStore, directory: Union[str, Path]) -> Dict[str, Path]
 
 
 def read_store(directory: Union[str, Path]) -> LogStore:
-    """Read every ``<type>.csv`` in ``directory`` back into a LogStore."""
+    """Read every ``<type>.csv`` in ``directory`` back into a LogStore.
+
+    Raises:
+        LogParseError: a row does not convert to an event.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"no such log directory: {directory}")
@@ -67,25 +89,38 @@ def read_store(directory: Union[str, Path]) -> LogStore:
         if not path.exists():
             continue
         with open(path, newline="") as fh:
-            for raw in csv.DictReader(fh):
-                store.append(_row_to_event(cls, raw))
+            reader = csv.DictReader(fh)
+            try:
+                for raw in reader:
+                    store.append(_row_to_event(cls, raw))
+            except (ValueError, TypeError, csv.Error) as exc:
+                field = getattr(exc, "field", None)
+                raise LogParseError(path, reader.line_num, field, str(exc)) from exc
     store.sort()
     return store
 
 
 def _row_to_event(cls, raw: dict) -> Event:
-    """Convert a CSV row back to a typed event."""
+    """Convert a CSV row back to a typed event.
+
+    A value that does not convert re-raises its ``ValueError`` or
+    ``TypeError`` with the column name set as ``exc.field``.
+    """
     kwargs = {}
-    for f in fields(cls):
-        value = raw.get(f.name, "")
-        if f.name == "timestamp":
-            kwargs[f.name] = datetime.fromisoformat(value)
-        elif value == "":
-            kwargs[f.name] = None
-        elif f.name in _BOOL_FIELDS:
-            kwargs[f.name] = value in ("True", "true", "1")
-        elif f.name in _INT_FIELDS:
-            kwargs[f.name] = int(value)
-        else:
-            kwargs[f.name] = value
+    try:
+        for f in fields(cls):
+            value = raw.get(f.name, "")
+            if f.name == "timestamp":
+                kwargs[f.name] = datetime.fromisoformat(value)
+            elif value == "":
+                kwargs[f.name] = None
+            elif f.name in _BOOL_FIELDS:
+                kwargs[f.name] = value in ("True", "true", "1")
+            elif f.name in _INT_FIELDS:
+                kwargs[f.name] = int(value)
+            else:
+                kwargs[f.name] = value
+    except (ValueError, TypeError) as exc:
+        exc.field = f.name
+        raise
     return cls(**kwargs)

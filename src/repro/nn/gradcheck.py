@@ -60,13 +60,18 @@ def check_layer_input_gradient(
         out = layer.forward(inp, training=training)
         return loss.value(np.zeros_like(out), out)
 
+    analytic = np.array(_backward(layer, x, loss, training, ws), copy=True)
+    numeric = numerical_gradient(objective, x.copy(), eps=eps)
+    return relative_error(analytic, numeric)
+
+
+def _backward(layer: Layer, x: np.ndarray, loss: Loss, training: bool,
+              ws: Optional[Workspace]) -> np.ndarray:
+    """One analytic forward/backward pass of ``loss(target=0, layer(x))``."""
     ws = ws or Workspace()
     ws.reset()
     out = layer.forward(x, training=training, ws=ws)
-    grad = loss.gradient(np.zeros_like(out), out)
-    analytic = np.array(layer.backward(grad, ws=ws), copy=True)
-    numeric = numerical_gradient(objective, x.copy(), eps=eps)
-    return relative_error(analytic, numeric)
+    return layer.backward(loss.gradient(np.zeros_like(out), out), ws=ws)
 
 
 def check_layer_param_gradients(
@@ -87,21 +92,21 @@ def check_layer_param_gradients(
     loss = loss or MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
 
-    ws = ws or Workspace()
-    ws.reset()
-    out = layer.forward(x, training=training, ws=ws)
-    grad = loss.gradient(np.zeros_like(out), out)
-    layer.backward(grad, ws=ws)
+    _backward(layer, x, loss, training, ws)
     analytic = {p.name: p.grad.copy() for p in layer.parameters()}
+
+    def objective(_value: np.ndarray) -> float:
+        out = layer.forward(x, training=training)
+        return loss.value(np.zeros_like(out), out)
 
     errors = {}
     for param in layer.parameters():
-
-        def objective(value: np.ndarray, _param=param) -> float:
-            _param.value = value
-            out = layer.forward(x, training=training)
-            return loss.value(np.zeros_like(out), out)
-
-        numeric = numerical_gradient(objective, param.value.copy(), eps=eps)
+        # Perturb the parameter's own array in place (it may be a view
+        # into a network's flat vector), then restore the original bits.
+        original = param.value.copy()
+        try:
+            numeric = numerical_gradient(objective, param.value, eps=eps)
+        finally:
+            param.value[...] = original
         errors[param.name] = relative_error(analytic[param.name], numeric)
     return errors

@@ -2,38 +2,24 @@
 
 Every layer follows the same contract:
 
-* ``forward(x, training)`` consumes a batch ``(n, d_in)`` and returns
+* ``forward(x, training, ws)`` consumes a batch ``(n, d_in)`` and returns
   ``(n, d_out)``, caching whatever the backward pass needs.
-* ``backward(grad_out)`` consumes ``dL/d(output)`` and returns
-  ``dL/d(input)``, storing parameter gradients on each
-  :class:`Parameter`'s ``grad`` attribute.
+* ``backward(grad_out, ws)`` consumes ``dL/d(output)``, returns
+  ``dL/d(input)`` and *overwrites* each :class:`Parameter`'s ``grad``
+  array in place (inside a network it is a view into the flat gradient
+  vector); one backward per mini-batch, then an optimizer step.
 * ``parameters()`` yields the layer's trainable :class:`Parameter`s.
 
-Gradients are *overwritten* (not accumulated) on each backward call, which
-matches how the :class:`repro.nn.network.Sequential` training loop uses
-them: one backward per mini-batch followed immediately by an optimizer
-step.
-
-Kernels
--------
-
-All arithmetic runs through ``out=``-parameter ufunc and ``np.matmul``
-kernels over scratch buffers drawn from a
-:class:`repro.nn.workspace.Workspace` arena, in the layer's compute
-dtype.  Both methods take an optional ``ws``; without one the call gets
-a fresh private workspace (same kernels, buffers just not recycled).
-The results are bit-identical to the plain numpy expressions in
-``tests/nn/reference.py``.
-
-Two rules follow from the buffer reuse:
-
-* a gradient passed to ``backward(grad, ws)`` may be **mutated in
-  place** and/or returned as ``dL/d(input)``; callers must treat the
-  buffer as consumed (the training loop does);
-* arrays returned from ``forward``/``backward`` live in the arena and
-  are only valid until the workspace's next generation
-  (:meth:`~repro.nn.workspace.Workspace.reset`); callers that keep
-  results must copy them out (``Sequential.predict`` does).
+All arithmetic runs through ``out=`` ufunc and ``np.matmul`` kernels in
+the layer's dtype, over scratch buffers from a
+:class:`repro.nn.workspace.Workspace` (a fresh private one when ``ws`` is
+None), bit-identical to the numpy expressions in
+``tests/nn/reference.py``.  Two rules follow from the buffer reuse: a
+gradient passed to ``backward`` may be **mutated in place** and/or
+returned, so callers treat it as consumed; and arrays returned from
+``forward``/``backward`` are only valid until the workspace's next
+:meth:`~repro.nn.workspace.Workspace.reset`, so callers that keep
+results copy them out (``Sequential.predict`` does).
 """
 
 from __future__ import annotations
@@ -92,9 +78,9 @@ class Layer:
     def cast(self, dtype: np.dtype) -> None:
         """Convert trainable state to ``dtype`` (float32/float64).
 
-        A no-op (no reallocation) for state already stored as ``dtype``,
-        which since :class:`Parameter` honours the build dtype is the
-        common case.
+        A no-op (no reallocation) for state already stored as ``dtype``:
+        always the case inside a built :class:`~repro.nn.network.Sequential`,
+        whose parameters stay views into its flat vectors.
         """
         for p in self.parameters():
             if p.value.dtype != dtype:
@@ -116,7 +102,7 @@ class Layer:
                     f"shape mismatch for {p.name!r}: "
                     f"expected {p.value.shape}, got {loaded.shape}"
                 )
-            p.value = loaded
+            p.value[...] = loaded  # in place: keeps any flat-vector view
 
 
 class Dense(Layer):
@@ -176,7 +162,7 @@ class Dense(Layer):
             raise RuntimeError("backward() called before forward()")
         np.matmul(self._x.T, grad_out, out=self.weight.grad)
         if self.use_bias:
-            grad_out.sum(axis=0, out=self.bias.grad)
+            np.add.reduce(grad_out, axis=0, out=self.bias.grad)
         grad_in = (ws or Workspace()).acquire(self._x.shape, grad_out.dtype)
         np.matmul(grad_out, self.weight.value.T, out=grad_in)
         return grad_in
@@ -229,11 +215,20 @@ class BatchNormalization(Layer):
             raise RuntimeError("BatchNormalization layer used before build()")
         ws = ws or Workspace()
         d = x.shape[1]
+        x_hat = ws.acquire(x.shape, x.dtype)
+        out = ws.acquire(x.shape, x.dtype)
         if training:
+            # x.mean(0), x.var(0) as numpy 2.x computes them (sum, then an
+            # unsafe true_divide by the intp count); x - mean is shared.
+            count = np.intp(x.shape[0])
             mean = ws.acquire((d,), x.dtype)
             var = ws.acquire((d,), x.dtype)
-            x.mean(axis=0, out=mean)
-            x.var(axis=0, out=var)
+            np.add.reduce(x, axis=0, out=mean)
+            np.true_divide(mean, count, out=mean, casting="unsafe")
+            np.subtract(x, mean, out=x_hat)
+            np.square(x_hat, out=out)
+            np.add.reduce(out, axis=0, out=var)
+            np.true_divide(var, count, out=var, casting="unsafe")
             # running = momentum * running + (1 - momentum) * batch_stat:
             # two products, one add.
             scratch = ws.acquire((d,), x.dtype)
@@ -244,17 +239,14 @@ class BatchNormalization(Layer):
             np.multiply(var, 1 - self.momentum, out=scratch)
             np.add(self.running_var, scratch, out=self.running_var)
         else:
-            mean = self.running_mean
             var = self.running_var
+            np.subtract(x, self.running_mean, out=x_hat)
         inv_std = ws.acquire((d,), x.dtype)
         np.add(var, self.epsilon, out=inv_std)
         np.sqrt(inv_std, out=inv_std)
         np.divide(1.0, inv_std, out=inv_std)
-        x_hat = ws.acquire(x.shape, x.dtype)
-        np.subtract(x, mean, out=x_hat)
         np.multiply(x_hat, inv_std, out=x_hat)
         self._cache = (x_hat, inv_std, np.asarray(training))
-        out = ws.acquire(x.shape, x.dtype)
         np.multiply(self.gamma.value, x_hat, out=out)
         np.add(out, self.beta.value, out=out)
         return out
@@ -267,8 +259,8 @@ class BatchNormalization(Layer):
         ws = ws or Workspace()
         tmp = ws.acquire(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, x_hat, out=tmp)
-        tmp.sum(axis=0, out=self.gamma.grad)
-        grad_out.sum(axis=0, out=self.beta.grad)
+        np.add.reduce(tmp, axis=0, out=self.gamma.grad)
+        np.add.reduce(grad_out, axis=0, out=self.beta.grad)
         grad_xhat = ws.acquire(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, self.gamma.value, out=grad_xhat)
         if not bool(was_training):
@@ -279,10 +271,10 @@ class BatchNormalization(Layer):
         # batch), one out= kernel per node:
         # inv_std/n * (n*gx - gx.sum(0) - x_hat * (gx*x_hat).sum(0))
         s1 = ws.acquire((d,), grad_out.dtype)
-        grad_xhat.sum(axis=0, out=s1)
+        np.add.reduce(grad_xhat, axis=0, out=s1)
         np.multiply(grad_xhat, x_hat, out=tmp)
         s2 = ws.acquire((d,), grad_out.dtype)
-        tmp.sum(axis=0, out=s2)
+        np.add.reduce(tmp, axis=0, out=s2)
         scale = ws.acquire((d,), grad_out.dtype)
         np.divide(inv_std, n, out=scale)
         np.multiply(grad_xhat, n, out=grad_xhat)

@@ -6,22 +6,25 @@ mini-batch, so e.g. compound-matrix views train without the pooled
 tensor ever being materialized.  Both paths draw the same RNG sequence
 and select the same rows, so they produce bit-identical weights.
 
-Buffer arena
-------------
+Every ``Parameter.value``/``.grad`` is a view into one contiguous value
+and one gradient vector (:meth:`Sequential.build`); ``fit`` steps the
+optimizer once per mini-batch on a parameter spanning both (elementwise
+kernels: the same bits as one update per tensor).  Code that changes a
+parameter writes into its array, as ``load_state_dict`` does.
 
-``fit`` and ``predict`` run every mini-batch gather, layer, loss and
-optimizer step through ``out=`` kernels over the network's own
-:class:`repro.nn.workspace.Workspace`, reset once per mini-batch (or
-predict chunk), so steady-state training performs zero array
-allocation.  ``forward``/``backward`` called without a workspace use a
-fresh private one: the network's arena is only ever drawn from inside
-a reset-scoped step.  Results are bit-identical to the plain numpy
-oracle in ``tests/nn/reference.py`` (pinned by
-``tests/nn/test_kernel_equivalence``).
+``fit`` and ``predict`` run every step through ``out=`` kernels over the
+network's :class:`repro.nn.workspace.Workspace`, reset per mini-batch or
+predict chunk under a ``(rows, training)`` plan key, so steady-state
+training allocates no arrays; ``forward``/``backward`` without a
+workspace use a fresh private one.  Results are bit-identical to the
+numpy oracle in ``tests/nn/reference.py``.  ``fit`` adds its per-phase
+``time.perf_counter`` sums (gather, forward, loss, backward, optimizer)
+to the ``nn.phase.*_seconds`` counters.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -87,21 +90,38 @@ class Sequential:
         self.input_dim: Optional[int] = None
         self.output_dim: Optional[int] = None
         self._workspace: Optional[Workspace] = None
+        self._flat: Optional[Parameter] = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def build(self, input_dim: int) -> "Sequential":
-        """Allocate every layer's parameters for the given input width."""
+        """Allocate every layer's parameters, as views into flat vectors."""
         if input_dim <= 0:
             raise ValueError(f"input_dim must be positive, got {input_dim}")
         dim = input_dim
         for layer in self.layers:
             dim = layer.build(dim, self._rng, dtype=self.dtype)
             layer.cast(self.dtype)  # no-op for layers built in-dtype; safety net otherwise
+        self._flatten_parameters()
         self.input_dim = input_dim
         self.output_dim = dim
         return self
+
+    def _flatten_parameters(self) -> None:
+        """Re-seat every parameter's value and grad in the flat vectors."""
+        params = self.parameters()
+        size = sum(p.value.size for p in params)
+        flat = Parameter("flat", np.empty(size, self.dtype), self.dtype)
+        offset = 0
+        for p in params:
+            end = offset + p.value.size
+            flat.value[offset:end] = p.value.reshape(-1)
+            flat.grad[offset:end] = p.grad.reshape(-1)
+            p.value = flat.value[offset:end].reshape(p.value.shape)
+            p.grad = flat.grad[offset:end].reshape(p.value.shape)
+            offset = end
+        self._flat = flat
 
     @property
     def built(self) -> bool:
@@ -162,8 +182,8 @@ class Sequential:
         ws = self.workspace
         out = np.empty((x.shape[0], self.output_dim), dtype=self.dtype)
         for start in range(0, x.shape[0], batch_size):
-            ws.reset()
             h = x[start : start + batch_size]
+            ws.reset((h.shape[0], False))
             for layer in self.layers:
                 h = layer.forward(h, training=False, ws=ws)
             out[start : start + h.shape[0]] = h
@@ -286,6 +306,10 @@ class Sequential:
 
         history = TrainingHistory()
         params = self.parameters()
+        if any(p.value.base is not self._flat.value or p.grad.base is not self._flat.grad
+               for p in params):
+            self._flatten_parameters()  # a parameter was rebound since build()
+        flat = (self._flat,)
         best_monitor = np.inf
         stale_epochs = 0
         n = train_idx.shape[0]
@@ -295,7 +319,9 @@ class Sequential:
         if verbose:
             callback_list.callbacks.append(EpochLogger())
         telemetry = get_telemetry()
-        arena_before = ws.stats()
+        misses_before = ws.stats().misses
+        clock = time.perf_counter
+        gather_s = forward_s = loss_s = backward_s = optimizer_s = 0.0
 
         with telemetry.span(
             "nn.fit", samples=int(n), input_dim=int(width), batch_size=batch_size
@@ -307,20 +333,31 @@ class Sequential:
                 order = self._rng.permutation(n) if shuffle else np.arange(n)
                 epoch_loss = 0.0
                 for start in range(0, n, batch_size):
+                    t0 = clock()
                     sel = order[start : start + batch_size]
-                    # One generation of arena buffers per mini-batch
+                    # One replay of the arena plan per mini-batch
                     # (asarray/shape checks skipped -- the gather already
                     # produced a 2-D batch of self.dtype).
-                    ws.reset()
+                    ws.reset((sel.shape[0], True))
                     xb, yb = fetch_batch(sel, ws)
+                    t1 = clock()
                     pred = xb
                     for layer in self.layers:
                         pred = layer.forward(pred, training=True, ws=ws)
+                    t2 = clock()
                     epoch_loss += loss_fn.value(yb, pred, ws) * sel.shape[0]
                     grad = loss_fn.gradient(yb, pred, ws)
+                    t3 = clock()
                     for layer in reversed(self.layers):
                         grad = layer.backward(grad, ws=ws)
-                    opt.step(params, ws=ws)
+                    t4 = clock()
+                    opt.step(flat, ws=ws)
+                    t5 = clock()
+                    gather_s += t1 - t0
+                    forward_s += t2 - t1
+                    loss_s += t3 - t2
+                    backward_s += t4 - t3
+                    optimizer_s += t5 - t4
                     n_batches += 1
                 epoch_loss /= n
                 history.loss.append(epoch_loss)
@@ -367,10 +404,12 @@ class Sequential:
         telemetry.counter("nn.epochs_total").inc(history.epochs_trained)
         telemetry.counter("nn.batches_total").inc(n_batches)
         telemetry.counter("nn.fits_total").inc()
-        arena_after = ws.stats()
-        telemetry.counter("nn.arena.hits").inc(arena_after.hits - arena_before.hits)
-        telemetry.counter("nn.arena.misses").inc(arena_after.misses - arena_before.misses)
-        telemetry.gauge("nn.arena.peak_bytes").set(arena_after.peak_bytes)
+        for phase, seconds in zip(("gather", "forward", "loss", "backward", "optimizer"),
+                                  (gather_s, forward_s, loss_s, backward_s, optimizer_s)):
+            telemetry.counter(f"nn.phase.{phase}_seconds").inc(seconds)
+        arena = ws.stats()
+        telemetry.counter("nn.arena.misses").inc(arena.misses - misses_before)
+        telemetry.gauge("nn.arena.peak_bytes").set(arena.peak_bytes)
         return history
 
     def evaluate(self, x: np.ndarray, y: Optional[np.ndarray] = None, loss: Union[str, Loss] = "mse") -> float:

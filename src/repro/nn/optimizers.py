@@ -2,21 +2,19 @@
 
 The paper trains with Adadelta (Zeiler 2012); the others are provided for
 ablations and tests.  Each optimizer keeps per-parameter state keyed by
-``id(parameter)``, so the same optimizer instance must be used with a
-fixed set of parameters for the whole training run (which is what
-:class:`repro.nn.network.Sequential` does).
+``id(parameter)``; :class:`repro.nn.network.Sequential` steps one flat
+parameter spanning all of a network's weights, so its optimizer state is
+one flat entry (the updates are elementwise: same bits as per tensor).
 
 Every update runs through in-place ``out=`` kernels over scratch
 buffers from a :class:`repro.nn.workspace.Workspace` (a fresh private
-one when :meth:`Optimizer.step` gets none): state arrays are allocated
-once per parameter and mutated in place, and a recycled workspace makes
-every step after the first allocation-free.  Updates are bit-identical
-to the plain numpy expressions in ``tests/nn/reference.py``.
+one when :meth:`Optimizer.step` gets none), bit-identical to the plain
+numpy expressions in ``tests/nn/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -24,21 +22,11 @@ from repro.nn.layers import Parameter
 from repro.nn.workspace import Workspace
 
 
-def _state_array(state: dict, key: str, param: Parameter) -> np.ndarray:
-    """The named state array, zero-allocated on first use only.
-
-    (``dict.setdefault(key, np.zeros_like(...))`` would evaluate -- and
-    allocate -- the default on *every* call; this helper only pays on a
-    genuine miss.)
-    """
-    array = state.get(key)
-    if array is None:
-        array = state[key] = np.zeros_like(param.value)
-    return array
-
-
 class Optimizer:
-    """Base class; subclasses implement ``_update_one``."""
+    """Base class; subclasses implement ``_update_one`` and name their
+    per-parameter state arrays (zeroed on first use) in ``slots``."""
+
+    slots: Tuple[str, ...] = ()
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
@@ -54,7 +42,9 @@ class Optimizer:
         for param in parameters:
             state = self._state.get(id(param))
             if state is None:
-                state = self._state[id(param)] = {}
+                state = self._state[id(param)] = {
+                    name: np.zeros_like(param.value) for name in self.slots
+                }
             self._update_one(param, state, ws)
 
     def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
@@ -77,6 +67,8 @@ class SGD(Optimizer):
 class Momentum(Optimizer):
     """SGD with classical momentum."""
 
+    slots = ("velocity",)
+
     def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9):
         super().__init__(learning_rate)
         if not 0.0 <= momentum < 1.0:
@@ -84,7 +76,7 @@ class Momentum(Optimizer):
         self.momentum = momentum
 
     def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        velocity = _state_array(state, "velocity", param)
+        velocity = state["velocity"]
         t = ws.acquire(param.grad.shape, param.grad.dtype)
         velocity *= self.momentum
         np.multiply(param.grad, self.learning_rate, out=t)
@@ -95,13 +87,15 @@ class Momentum(Optimizer):
 class RMSProp(Optimizer):
     """RMSProp (Tieleman & Hinton)."""
 
+    slots = ("acc",)
+
     def __init__(self, learning_rate: float = 0.001, rho: float = 0.9, epsilon: float = 1e-7):
         super().__init__(learning_rate)
         self.rho = rho
         self.epsilon = epsilon
 
     def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        acc = _state_array(state, "acc", param)
+        acc = state["acc"]
         g = param.grad
         t1 = ws.acquire(g.shape, g.dtype)
         t2 = ws.acquire(g.shape, g.dtype)
@@ -126,6 +120,8 @@ class Adadelta(Optimizer):
     footgun that effectively freezes training).
     """
 
+    slots = ("acc_grad", "acc_delta")
+
     def __init__(self, learning_rate: float = 1.0, rho: float = 0.95, epsilon: float = 1e-6):
         super().__init__(learning_rate)
         if not 0.0 < rho < 1.0:
@@ -134,8 +130,8 @@ class Adadelta(Optimizer):
         self.epsilon = epsilon
 
     def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        acc_grad = _state_array(state, "acc_grad", param)
-        acc_delta = _state_array(state, "acc_delta", param)
+        acc_grad = state["acc_grad"]
+        acc_delta = state["acc_delta"]
         g = param.grad
         t1 = ws.acquire(g.shape, g.dtype)
         t2 = ws.acquire(g.shape, g.dtype)
@@ -161,6 +157,8 @@ class Adadelta(Optimizer):
 class Adam(Optimizer):
     """Adam (Kingma & Ba 2015) with bias correction."""
 
+    slots = ("m", "v")
+
     def __init__(
         self,
         learning_rate: float = 0.001,
@@ -174,8 +172,8 @@ class Adam(Optimizer):
         self.epsilon = epsilon
 
     def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        m = _state_array(state, "m", param)
-        v = _state_array(state, "v", param)
+        m = state["m"]
+        v = state["v"]
         t = state["t"] = state.get("t", 0) + 1
         g = param.grad
         t1 = ws.acquire(g.shape, g.dtype)

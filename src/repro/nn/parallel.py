@@ -33,11 +33,6 @@ Workers inherit the parent's ``run_id`` and continue its trace
 one ``trace_id`` grep in a structured log (:mod:`repro.obs.log`)
 reconstructs a fan-out across processes.
 
-Workers train through the same single kernel path as the serial loop
-(each network owns its buffer arena, :mod:`repro.nn.workspace`), and
-there is no arena setting to inherit, so the arena can never make
-parallel results diverge from serial ones.
-
 The pool never has more workers than tasks or than usable cores
 (:func:`resolve_n_jobs`), so a one-core host trains serially whatever
 ``n_jobs`` asks for.  Platforms without the ``fork`` start method (and

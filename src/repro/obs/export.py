@@ -90,7 +90,8 @@ def render_prometheus(
     for name in sorted(counters):
         series = _prom_name(prefix, name)
         lines.append(f"# TYPE {series} counter")
-        lines.append(f"{series} {int(counters[name])}")
+        value = counters[name]
+        lines.append(f"{series} {value if isinstance(value, float) else int(value)}")
     for name in sorted(gauges):
         value = gauges[name]
         if value is None or not _finite(value):

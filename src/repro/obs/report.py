@@ -236,7 +236,13 @@ def validate_run_report(document: Mapping[str, Any]) -> None:
     for key in ("counters", "gauges", "histograms"):
         _check(isinstance(metrics.get(key), Mapping), f"metrics.{key}", "a mapping")
     for name, value in metrics["counters"].items():
-        _check(isinstance(value, int), f"metrics.counters[{name!r}]", "an int")
+        # Event counters are ints; accumulated wall-time totals
+        # (``nn.phase.*_seconds``) are the one float-valued family.
+        if name.endswith("_seconds"):
+            _check(isinstance(value, (int, float)) and not isinstance(value, bool),
+                   f"metrics.counters[{name!r}]", "a number")
+        else:
+            _check(isinstance(value, int), f"metrics.counters[{name!r}]", "an int")
     for name, entry in metrics["histograms"].items():
         where = f"metrics.histograms[{name!r}]"
         _check(isinstance(entry, Mapping), where, "a mapping")

@@ -218,7 +218,7 @@ class _SpanHandle:
 
 
 class Counter:
-    """A monotonically increasing total (events, epochs, batches)."""
+    """A monotonically increasing total (events, epochs, batches, seconds)."""
 
     __slots__ = ("value",)
 

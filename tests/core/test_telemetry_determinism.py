@@ -8,7 +8,9 @@ Two contracts pinned here:
 * **Worker merge equals serial.**  The counters that workers ship back
   from parallel ensemble training (``nn.*``, ``train.*``) sum to
   exactly the values a serial run records, so the merged picture is a
-  faithful account of the fanned-out work.
+  faithful account of the fanned-out work.  The wall-clock totals among
+  them (``nn.phase.*_seconds``) cannot repeat across two runs; they must
+  be reported by both paths, for the same phases.
 """
 
 from datetime import date, timedelta
@@ -154,6 +156,11 @@ class TestWorkerMergeEqualsSerial:
 
         serial_shared = self.shared(serial.metrics.snapshot())
         parallel_shared = self.shared(parallel.metrics.snapshot())
+        phases = {f"nn.phase.{phase}_seconds"
+                  for phase in ("gather", "forward", "loss", "backward", "optimizer")}
+        for shared in (serial_shared, parallel_shared):
+            timings = {name: shared["counters"].pop(name) for name in phases}
+            assert all(seconds > 0 for seconds in timings.values()), timings
         assert serial_shared["counters"] == parallel_shared["counters"]
         assert serial_shared["counters"]["nn.epochs_total"] == 12
         # Histogram series may interleave across workers; the multiset

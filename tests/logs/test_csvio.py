@@ -1,10 +1,11 @@
 """CSV round-trip tests for the CERT-style on-disk layout."""
 
+import csv
 from datetime import datetime
 
 import pytest
 
-from repro.logs.csvio import read_store, write_store
+from repro.logs.csvio import LogParseError, read_store, write_store
 from repro.logs.schema import (
     DeviceEvent,
     DnsEvent,
@@ -93,3 +94,50 @@ def test_read_ignores_absent_types(tmp_path):
     write_store(s, tmp_path)
     loaded = read_store(tmp_path)
     assert loaded.type_names() == ["device"]
+
+
+def _corrupt(path, line, column, value):
+    """Overwrite one cell of a written CSV (``line`` counts the header as 1)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "kind, column, value",
+    [
+        ("device", "timestamp", "2010-13-45 11:22:33"),  # month must be in 1..12
+        ("proxy", "bytes_out", "ten"),  # not an integer count
+    ],
+)
+def test_malformed_row_raises_located_error(tmp_path, kind, column, value):
+    paths = write_store(build_store(), tmp_path)
+    _corrupt(paths[kind], 2, column, value)
+    with pytest.raises(LogParseError) as info:
+        read_store(tmp_path)
+    error = info.value
+    assert isinstance(error, ValueError)
+    assert (error.path, error.line, error.field) == (paths[kind], 2, column)
+    assert f"{paths[kind]}, line 2, field {column!r}" in str(error)
+
+
+def test_invalid_event_is_located_without_a_field(tmp_path):
+    paths = write_store(build_store(), tmp_path)
+    _corrupt(paths["device"], 2, "activity", "teleport")  # converts, but is not an activity
+    with pytest.raises(LogParseError, match="unknown device activity") as info:
+        read_store(tmp_path)
+    assert (info.value.line, info.value.field) == (2, None)
+
+
+def test_truncated_row_names_the_first_missing_count(tmp_path):
+    paths = write_store(build_store(), tmp_path)
+    with open(paths["proxy"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    cut = rows[0].index("bytes_out")
+    with open(paths["proxy"], "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0], rows[1][:cut]])  # the line stops short
+    with pytest.raises(LogParseError) as info:
+        read_store(tmp_path)
+    assert (info.value.line, info.value.field) == (2, "bytes_out")

@@ -161,9 +161,11 @@ class TestTrainingBitIdentity:
         after_first = net.workspace.stats()
         net.fit(data, epochs=2, batch_size=16)
         after_more = net.workspace.stats()
-        # Steady state: further epochs allocate nothing new.
+        # Steady state: further epochs replay the recorded plan and
+        # allocate nothing new.
+        assert after_more.generations > after_first.generations
         assert after_more.misses == after_first.misses
-        assert after_more.hits > after_first.hits
+        assert after_more.buffers == after_first.buffers
         assert after_more.peak_bytes == after_first.peak_bytes
 
 

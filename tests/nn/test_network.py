@@ -207,3 +207,89 @@ class TestDtype:
     def test_rejects_integer_dtype(self):
         with pytest.raises(ValueError):
             Sequential([Dense(2)], dtype="int32")
+
+
+class TestFlatParameters:
+    """Every parameter stays a view into the network's flat vectors.
+
+    ``fit`` steps the optimizer once, on the flat vectors; a path that
+    rebinds a ``Parameter.value`` or ``.grad`` to a fresh array would
+    leave that parameter out of training.
+    """
+
+    @staticmethod
+    def make(dtype="float64", seed=0):
+        layers = [Dense(6), BatchNormalization(), ReLU(), Dense(3), Sigmoid()]
+        return Sequential(layers, seed=seed, dtype=dtype).build(3)
+
+    @staticmethod
+    def assert_flat(net):
+        flat = net._flat
+        params = net.parameters()
+        assert flat.value.size == sum(p.value.size for p in params)
+        for p in params:
+            assert np.shares_memory(p.value, flat.value), p
+            assert np.shares_memory(p.grad, flat.grad), p
+
+    @staticmethod
+    def assert_fit_moves(net, before):
+        net.fit(RNG.random((24, 3)), epochs=1, batch_size=8)
+        for p, old in zip(net.parameters(), before):
+            assert not np.array_equal(p.value, old), p
+
+    def test_build_places_parameters_in_order(self):
+        net = self.make()
+        self.assert_flat(net)
+        starts = [p.value.__array_interface__["data"][0] for p in net.parameters()]
+        assert starts == sorted(starts)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_load_state_dict_writes_in_place(self, dtype):
+        source = self.make(dtype, seed=1)
+        source.fit(RNG.random((24, 3)), epochs=2, batch_size=8)
+        net = self.make(dtype, seed=2)
+        for mine, theirs in zip(net.layers, source.layers):
+            mine.load_state_dict(theirs.state_dict())
+        self.assert_flat(net)
+        loaded = [p.value.copy() for p in net.parameters()]
+        assert all(np.array_equal(a, b.value) for a, b in zip(loaded, source.parameters()))
+        self.assert_fit_moves(net, loaded)
+
+    def test_network_from_bytes_keeps_views(self):
+        from repro.nn.serialization import network_from_bytes, network_to_bytes
+
+        source = self.make(seed=1)
+        source.fit(RNG.random((24, 3)), epochs=1, batch_size=8)
+        net = network_from_bytes(self.make(seed=2), network_to_bytes(source))
+        self.assert_flat(net)
+        loaded = [p.value.copy() for p in net.parameters()]
+        self.assert_fit_moves(net, loaded)
+
+    def test_cast_to_network_dtype_keeps_views(self):
+        net = self.make("float32")
+        for layer in net.layers:
+            layer.cast(np.dtype(np.float32))
+        self.assert_flat(net)
+        self.assert_fit_moves(net, [p.value.copy() for p in net.parameters()])
+
+    def test_param_gradcheck_restores_values_in_place(self):
+        from repro.nn.gradcheck import check_layer_param_gradients
+
+        net = self.make()
+        before = [p.value.copy() for p in net.parameters()]
+        x = RNG.uniform(0.2, 0.9, size=(5, 3))
+        dense, batch_norm = net.layers[:2]
+        assert max(check_layer_param_gradients(dense, x).values()) < 1e-5
+        check_layer_param_gradients(batch_norm, dense.forward(x))
+        self.assert_flat(net)
+        assert all(np.array_equal(p.value, b) for p, b in zip(net.parameters(), before))
+        self.assert_fit_moves(net, before)
+
+    def test_fit_reseats_a_rebound_parameter(self):
+        net = self.make()
+        dense = net.layers[0]
+        dense.weight.value = dense.weight.value + 0.5  # user code rebinding
+        rebound = dense.weight.value.copy()
+        net.fit(RNG.random((24, 3)), epochs=1, batch_size=8)
+        self.assert_flat(net)
+        assert not np.array_equal(dense.weight.value, rebound)

@@ -29,6 +29,11 @@ class TestRenderPrometheus:
         assert "acobe_day_seconds_count 4" in text
         assert text.endswith("\n")
 
+    def test_seconds_counters_keep_their_fraction(self):
+        text = render_prometheus({"nn.phase.forward_seconds": 1.25, "nn.fits_total": 2}, {}, {})
+        assert "acobe_nn_phase_forward_seconds 1.25" in text
+        assert "acobe_nn_fits_total 2" in text
+
     def test_durable_counters_render_as_gauges(self):
         text = render_prometheus({}, {}, {}, durable={"stream.days_observed": 7})
         assert "# TYPE acobe_stream_days_observed gauge" in text

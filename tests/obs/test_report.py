@@ -68,6 +68,14 @@ class TestRunReport:
         doc = build_run_report(capture(), training_histories={"a": history()})
         validate_run_report(json.loads(json.dumps(doc)))
 
+    def test_seconds_counters_may_be_fractional(self):
+        doc = build_run_report(capture(), training_histories={"http": history()})
+        doc["metrics"]["counters"]["nn.phase.forward_seconds"] = 0.75
+        validate_run_report(doc)
+        doc["metrics"]["counters"]["nn.phase.forward_seconds"] = True
+        with pytest.raises(ValueError, match="forward_seconds"):
+            validate_run_report(doc)
+
     @pytest.mark.parametrize(
         "mutate, path",
         [
